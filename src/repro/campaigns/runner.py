@@ -158,7 +158,9 @@ class BatchOptions:
     chunksize:
         Tasks submitted per inter-process message in parallel mode;
         raise it when individual tasks are much cheaper than a pickle
-        round-trip.
+        round-trip.  In the transient front-end's process mode this
+        is the size of one *job*: the unit that ``task_timeout`` and
+        ``on_error`` act on (see below).
     batch_mode:
         How the batch executes:
 
@@ -195,6 +197,11 @@ class BatchOptions:
         * ``"retry"`` — re-attempt per ``retry`` (a default
           :class:`RetryPolicy` if unset), then record the
           :class:`~repro.errors.TaskFailure` if every attempt failed.
+
+        The transient front-end's pooled modes (``"sharded"`` and
+        ``"process"``) act per *job* — one shard, or one chunk of
+        ``chunksize`` tasks: a failed job re-runs its samples solo in
+        the parent, so only the guilty ones record failures.
     retry:
         The :class:`RetryPolicy` used by ``on_error="retry"``.
     checkpoint_path:
@@ -227,6 +234,9 @@ class BatchOptions:
         ``kind="timeout"`` (or retries, under ``on_error="retry"``).
         ``None`` (default) disables the watchdog.  Sequential
         in-process execution cannot be interrupted and ignores it.
+        The transient front-end's pooled modes time each *job* (one
+        shard, or one chunk of ``chunksize`` tasks); every sample of
+        a killed job records the timeout failure, with no retry.
     """
 
     max_workers: Optional[Union[int, str]] = None
@@ -413,30 +423,6 @@ class _IndexedWorker:
             raise wrap_task_error(exc, index, task) from exc
 
 
-def drain_ordered(
-    iterator,
-    tasks: Sequence,
-    action: str = "batch worker failed",
-) -> List:
-    """Drain results in task order, wrapping failures with their index.
-
-    The one drain loop shared by every executor-backed campaign path.
-    Workers that can, wrap child-side (exact attribution even with
-    ``chunksize > 1``); this parent-side wrap is the backstop for
-    pool-level failures (pickling errors, a broken pool), where the
-    index is the drain position the failure surfaced at.
-    """
-    results = []
-    for index, task in enumerate(tasks):
-        try:
-            results.append(next(iterator))
-        except BatchTaskError:
-            raise
-        except Exception as exc:
-            raise wrap_task_error(exc, index, task, action) from exc
-    return results
-
-
 def _wrap_collective(exc: BaseException, tasks: Sequence) -> BatchTaskError:
     """Wrap a failure of a whole lockstep batch.
 
@@ -589,6 +575,84 @@ def _kill_pool(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
+def _drain_pool(
+    keys: Sequence,
+    submit: Callable[[ProcessPoolExecutor, object], concurrent.futures.Future],
+    on_done: Callable[[object, concurrent.futures.Future], bool],
+    on_timeout: Callable[[object], bool],
+    max_workers: int,
+    timeout: Optional[float],
+    initializer: Callable = _pool_worker_init,
+    initargs: tuple = (),
+) -> None:
+    """The watchdog loop behind every campaign process pool.
+
+    ``submit(executor, key)`` puts one key's work on the pool, and the
+    loop polls the in-flight futures with ``FIRST_COMPLETED``.
+    ``on_done(key, future)`` settles each finished future; returning
+    True resubmits the key on the same pool (a retry).
+
+    With a ``timeout``, every in-flight future gets a deadline from the
+    moment it is first *observed* running, so queued work waiting for
+    a worker never counts as hung.  An overdue future means a hung
+    worker: ``on_timeout(key)`` settles it (returning True requeues
+    it), the pool is killed — the only way to interrupt arbitrary
+    native code — and the keys still in flight resubmit on a fresh
+    pool without being charged anything.  An exception out of a
+    handler kills the pool and propagates.
+    """
+    wait_timeout = None if timeout is None else min(1.0, timeout / 4.0)
+    queue = list(keys)
+    while queue:
+        executor = ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=initializer,
+            initargs=initargs,
+        )
+        rebuild = False
+        try:
+            pending = {submit(executor, key): key for key in queue}
+            queue = []
+            running_since: Dict[object, float] = {}
+            while pending:
+                ready, _ = concurrent.futures.wait(
+                    pending,
+                    timeout=wait_timeout,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                for future in ready:
+                    key = pending.pop(future)
+                    running_since.pop(future, None)
+                    if on_done(key, future):
+                        pending[submit(executor, key)] = key
+                if timeout is None:
+                    continue
+                now = time.monotonic()
+                overdue = []
+                for future in pending:
+                    if future in running_since:
+                        if now - running_since[future] > timeout:
+                            overdue.append(future)
+                    elif future.running():
+                        running_since[future] = now
+                if not overdue:
+                    continue
+                for future in overdue:
+                    key = pending.pop(future)
+                    if on_timeout(key):
+                        queue.append(key)
+                queue.extend(pending.values())
+                rebuild = True
+                break
+        except BaseException:
+            _kill_pool(executor)
+            raise
+        if rebuild:
+            _kill_pool(executor)
+        else:
+            executor.shutdown(wait=True)
+
+
 def _drain_resilient_pool(
     worker: Callable,
     task_list: Sequence,
@@ -608,146 +672,89 @@ def _drain_resilient_pool(
     flushes the checkpoint and raises a :class:`BatchTaskError`
     naming one in-flight task.
 
-    With ``options.task_timeout`` set, a watchdog polls the in-flight
-    futures: a task observed running past the deadline is presumed
-    hung, its worker processes are killed (the only way to interrupt
-    arbitrary native code), the pool is rebuilt, and the unfinished
-    peers resubmit on the fresh pool.  The hung task records a
+    With ``options.task_timeout`` set, the :func:`_drain_pool`
+    watchdog kills a hung task's pool: the task records a
     ``kind="timeout"`` :class:`~repro.errors.TaskFailure` — or
     retries, when attempts remain.
     """
     indexed = _IndexedWorker(worker)
     attempts = {index: 1 for index in missing}
-    timeout = options.task_timeout
-    wait_timeout = None if timeout is None else min(1.0, timeout / 4.0)
-    queue = list(missing)
-    while queue:
-        executor = ProcessPoolExecutor(
-            max_workers=options.resolved_max_workers(),
-            initializer=_pool_worker_init,
+    in_flight = set(missing)
+
+    def submit(executor: ProcessPoolExecutor, index: int):
+        task = policy.task_for_attempt(task_list[index], attempts[index])
+        return executor.submit(indexed, (index, task))
+
+    def can_retry(index: int) -> bool:
+        return options.on_error == "retry" and attempts[index] < policy.max_attempts
+
+    def on_done(index: int, future) -> bool:
+        exc = future.exception()
+        if exc is None:
+            in_flight.discard(index)
+            done[index] = future.result()
+            saver.tick()
+            return False
+        if isinstance(exc, BrokenProcessPool):
+            saver.flush()
+            raise wrap_task_error(
+                exc,
+                index,
+                task_list[index],
+                action=(
+                    "worker process pool broke with task(s) "
+                    f"{sorted(in_flight)} in flight"
+                ),
+            ) from exc
+        if can_retry(index):
+            attempts[index] += 1
+            if policy.delay:
+                time.sleep(policy.wait(attempts[index] - 1))
+            return True
+        in_flight.discard(index)
+        if options.on_error == "raise":
+            saver.flush()
+            raise exc
+        failures[index] = TaskFailure(
+            index=index,
+            task=task_list[index],
+            error=exc,
+            attempts=attempts[index],
+            context=_failure_context(exc),
         )
-        rebuild = False
-        try:
-            pending = {
-                executor.submit(
-                    indexed,
-                    (
-                        index,
-                        policy.task_for_attempt(
-                            task_list[index], attempts[index]
-                        ),
-                    ),
-                ): index
-                for index in queue
-            }
-            queue = []
-            running_since: Dict[object, float] = {}
-            while pending:
-                ready, _ = concurrent.futures.wait(
-                    pending,
-                    timeout=wait_timeout,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in ready:
-                    index = pending.pop(future)
-                    running_since.pop(future, None)
-                    exc = future.exception()
-                    if exc is None:
-                        done[index] = future.result()
-                        saver.tick()
-                        continue
-                    if isinstance(exc, BrokenProcessPool):
-                        saver.flush()
-                        in_flight = sorted([index] + list(pending.values()))
-                        raise wrap_task_error(
-                            exc,
-                            index,
-                            task_list[index],
-                            action=(
-                                "worker process pool broke with task(s) "
-                                f"{in_flight} in flight"
-                            ),
-                        ) from exc
-                    if (
-                        options.on_error == "retry"
-                        and attempts[index] < policy.max_attempts
-                    ):
-                        attempts[index] += 1
-                        if policy.delay:
-                            time.sleep(policy.wait(attempts[index] - 1))
-                        retry_task = policy.task_for_attempt(
-                            task_list[index], attempts[index]
-                        )
-                        pending[
-                            executor.submit(indexed, (index, retry_task))
-                        ] = index
-                        continue
-                    failure = TaskFailure(
-                        index=index,
-                        task=task_list[index],
-                        error=exc,
-                        attempts=attempts[index],
-                        context=_failure_context(exc),
-                    )
-                    if options.on_error == "raise":
-                        saver.flush()
-                        raise exc
-                    failures[index] = failure
-                if timeout is None:
-                    continue
-                # -- watchdog: the deadline clock starts when a future
-                # is first *observed* running, so queued tasks waiting
-                # for a worker are never miscounted as hung.
-                now = time.monotonic()
-                overdue = []
-                for future in pending:
-                    if future in running_since:
-                        if now - running_since[future] > timeout:
-                            overdue.append(future)
-                    elif future.running():
-                        running_since[future] = now
-                if not overdue:
-                    continue
-                for future in overdue:
-                    index = pending.pop(future)
-                    if (
-                        options.on_error == "retry"
-                        and attempts[index] < policy.max_attempts
-                    ):
-                        attempts[index] += 1
-                        queue.append(index)
-                        continue
-                    error: BaseException = TimeoutError(
-                        f"task {index} exceeded task_timeout="
-                        f"{timeout}s; its worker was killed"
-                    )
-                    if options.on_error == "raise":
-                        saver.flush()
-                        rebuild = True
-                        raise wrap_task_error(
-                            error,
-                            index,
-                            task_list[index],
-                            action="task watchdog fired",
-                        ) from error
-                    failures[index] = TaskFailure(
-                        index=index,
-                        task=task_list[index],
-                        error=error,
-                        attempts=attempts[index],
-                        kind="timeout",
-                    )
-                # Unfinished peers die with the killed pool; resubmit
-                # them on the fresh one without charging an attempt.
-                queue.extend(pending.values())
-                pending.clear()
-                rebuild = True
-                break
-        finally:
-            if rebuild:
-                _kill_pool(executor)
-            else:
-                executor.shutdown(wait=True)
+        return False
+
+    def on_timeout(index: int) -> bool:
+        if can_retry(index):
+            attempts[index] += 1
+            return True
+        in_flight.discard(index)
+        error = TimeoutError(
+            f"task {index} exceeded task_timeout="
+            f"{options.task_timeout}s; its worker was killed"
+        )
+        if options.on_error == "raise":
+            saver.flush()
+            raise wrap_task_error(
+                error, index, task_list[index], action="task watchdog fired"
+            ) from error
+        failures[index] = TaskFailure(
+            index=index,
+            task=task_list[index],
+            error=error,
+            attempts=attempts[index],
+            kind="timeout",
+        )
+        return False
+
+    _drain_pool(
+        missing,
+        submit,
+        on_done,
+        on_timeout,
+        max_workers=options.resolved_max_workers(),
+        timeout=options.task_timeout,
+    )
 
 
 def _sigterm_to_interrupt(signum, frame):  # pragma: no cover - signal path
@@ -953,7 +960,19 @@ def run_batch(
             list(enumerate(task_list)),
             chunksize=options.chunksize,
         )
-        return drain_ordered(iterator, task_list)
+        # Workers wrap child-side (exact attribution even with
+        # chunksize > 1); this wrap is the backstop for pool-level
+        # failures (pickling errors, a broken pool), where the index
+        # is the drain position the failure surfaced at.
+        results = []
+        for index, task in enumerate(task_list):
+            try:
+                results.append(next(iterator))
+            except BatchTaskError:
+                raise
+            except Exception as exc:
+                raise wrap_task_error(exc, index, task) from exc
+        return results
 
 
 def run_chain(

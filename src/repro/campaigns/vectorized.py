@@ -3,7 +3,7 @@
 :mod:`repro.campaigns.runner` schedules *opaque* workers; this module
 is the campaign front-end for workers the library can see inside —
 "build a circuit per task, run one transient, evaluate the result".
-Knowing that shape unlocks two execution strategies a generic worker
+Knowing that shape unlocks execution strategies a generic worker
 cannot offer:
 
 * **Lockstep vectorization** (``BatchOptions(batch_mode="vectorized")``)
@@ -15,13 +15,19 @@ cannot offer:
 * **Shared-memory streaming** (process parallelism) — instead of
   pickling per-task results back through the executor, workers write
   their full waveform records into one preallocated
-  ``multiprocessing.shared_memory`` block, so a campaign streams
-  complete waveforms at the cost of scalars.
+  ``multiprocessing.shared_memory`` block holding one slot per
+  sample: a record count, the time grid, then the record matrix.
+  Fixed grids size each slot exactly; adaptive grids reserve 4x the
+  initial-dt record count, and the rare sample that outgrows its
+  slot comes back pickled, flagged in ``stats["fallbacks"]``.  One
+  block layout, one pool worker and one watchdog serve both pooled
+  modes below.
+* **Process mode** (``BatchOptions(batch_mode="process")``) — jobs of
+  ``chunksize`` tasks, each task through the per-sample engine.
 * **Sharded lockstep** (``BatchOptions(batch_mode="sharded")``, and
   the ``"auto"`` choice for fixed-grid campaigns on multi-core
   machines) — the lockstep batch split into sub-batches dispatched
-  across a process pool, each shard streaming its fixed-grid records
-  into one shared block at global per-sample offsets.  Because every
+  across a process pool, one shard per job.  Because every
   per-sample solve in the lockstep engine (block-diagonal LU,
   per-sample Newton masks, batched DC seed) is independent of batch
   membership, fixed-grid shard merges are bit-identical to the
@@ -42,9 +48,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -72,9 +76,10 @@ from .runner import (
     BatchOptions,
     RetryPolicy,
     _attempt_task,
-    _kill_pool,
+    _drain_pool,
+    _failure_context,
+    _pool_worker_init,
     _wrap_collective,
-    drain_ordered,
     nearest_neighbor_chain,
     wrap_task_error,
 )
@@ -143,10 +148,10 @@ def run_transient_campaign(
     * ``"sharded"`` — the lockstep engine split into sub-batches of
       ``batch.shard_size`` samples (default: the campaign divided
       evenly over the resolved worker count), dispatched across a
-      shard-level process pool with records streamed through one
-      shared-memory block at per-sample global offsets.  One worker
-      (or one core) degrades gracefully to running the shards
-      sequentially in-process.  Fixed-grid shard merges are
+      process pool with records streamed through one shared-memory
+      block of per-sample slots.  One worker (or one core) degrades
+      gracefully to running the shards sequentially in-process.
+      Fixed-grid shard merges are
       **bit-identical** to the unsharded lockstep run — every
       per-sample solve (block-diagonal LU, per-sample Newton masks,
       batched DC seed) is independent of batch membership.  With
@@ -168,13 +173,17 @@ def run_transient_campaign(
       discretization* than each sample's own adaptive grid, so
       results legitimately differ at LTE-tolerance level — opting in
       must be explicit (``"vectorized"`` or ``"sharded"``).
-    * ``"process"`` (or ``"auto"`` + ``max_workers > 1``) — process
-      pool with the shared-memory record stream for fixed-grid runs
-      (adaptive runs fall back to pickled records).
+    * ``"process"`` (or ``"auto"`` + ``max_workers > 1``) — the
+      per-sample engine in a process pool, ``batch.chunksize`` tasks
+      per job, streaming records through the same shared-memory
+      slots as sharded mode, fixed and adaptive grids alike.
     * ``"sequential"`` — plain loop, no stacking.
 
-    All per-sample paths wrap worker failures in
+    All paths wrap worker failures in
     :class:`~repro.errors.BatchTaskError` carrying the task index.
+    The two pooled modes (``"sharded"`` and ``"process"``) also apply
+    ``batch.on_error`` and ``batch.task_timeout`` per job — see
+    :func:`_run_jobs`.
 
     With ``options.quarantine`` the lockstep path tolerates diverging
     samples (they are masked out and flagged ``quarantined`` in their
@@ -201,27 +210,22 @@ def run_transient_campaign(
             # "auto" promotion: re-key the policy so worker resolution
             # ("use the box") and validation follow the sharded rules.
             policy = replace(policy, batch_mode="sharded")
-        return _run_sharded(tasks, build, options, policy)
-    lockstep = mode == "vectorized" or (
-        mode == "auto"
-        and not want_process
-        and options.step_control == "fixed"
-    )
-    if lockstep:
-        circuits = _build_all(tasks, build)
-        try:
-            results = run_transient_batched(circuits, options)
-        except BatchIncompatible:
-            return _run_sequential(tasks, circuits, options)
-        except Exception as exc:
-            raise _wrap_collective(exc, tasks) from exc
-        if options.quarantine and options.rescue:
-            _rerun_quarantined(circuits, options, results)
-        return results
+        return _run_jobs(tasks, build, options, policy, lockstep=True)
     if want_process:
-        return _run_process_streaming(tasks, build, options, batch)
+        return _run_jobs(tasks, build, options, batch, lockstep=False)
     circuits = _build_all(tasks, build)
-    return _run_sequential(tasks, circuits, options)
+    indices = range(len(tasks))
+    lockstep = mode == "vectorized" or (
+        mode == "auto" and options.step_control == "fixed"
+    )
+    if not lockstep:
+        return _run_sequential(circuits, tasks, indices, options)
+    try:
+        return _run_one_shard(circuits, tasks, indices, options)
+    except BatchTaskError:
+        raise
+    except Exception as exc:
+        raise _wrap_collective(exc, tasks) from exc
 
 
 def transient_worker(
@@ -278,30 +282,51 @@ def transient_worker(
 # -- fallback paths -----------------------------------------------------------
 
 
-def _build_all(tasks: Sequence[object], build) -> List[Circuit]:
-    circuits = []
+def _build_all(
+    tasks: Sequence[object],
+    build,
+    failures: Optional[List[object]] = None,
+) -> List[Optional[Circuit]]:
+    """Build every task's circuit in the parent.
+
+    A failed build raises :class:`~repro.errors.BatchTaskError`; when
+    a ``failures`` list is given (``on_error != "raise"``) it instead
+    lands there as a :class:`~repro.errors.TaskFailure` and the
+    task's circuit is ``None``.
+    """
+    circuits: List[Optional[Circuit]] = []
     for index, task in enumerate(tasks):
         try:
             circuits.append(build(task))
         except Exception as exc:
-            raise wrap_task_error(
-                exc, index, task, action="circuit build failed"
-            ) from exc
+            if failures is None:
+                raise wrap_task_error(
+                    exc, index, task, action="circuit build failed"
+                ) from exc
+            failures[index] = TaskFailure(
+                index=index,
+                task=task,
+                error=exc,
+                context=_failure_context(exc),
+            )
+            circuits.append(None)
     return circuits
 
 
 def _run_sequential(
-    tasks: Sequence[object],
     circuits: Sequence[Circuit],
+    tasks: Sequence[object],
+    indices: Sequence[int],
     options: TransientOptions,
 ) -> List[TransientResult]:
+    """The per-sample loop; failures name each task's global index."""
     results = []
-    for index, circuit in enumerate(circuits):
+    for circuit, task, g in zip(circuits, tasks, indices):
         try:
             results.append(run_transient(circuit, options))
         except Exception as exc:
             raise wrap_task_error(
-                exc, index, tasks[index], action="transient failed"
+                exc, g, task, action="transient failed"
             ) from exc
     return results
 
@@ -387,7 +412,7 @@ def _reap_shared_blocks() -> None:  # pragma: no cover - teardown path
             pass
 
 
-# -- sharded lockstep execution -----------------------------------------------
+# -- sharded and process execution --------------------------------------------
 
 
 def _plan_shards(
@@ -425,25 +450,16 @@ def _run_one_shard(
     indices: Sequence[int],
     options: TransientOptions,
 ) -> List[TransientResult]:
-    """One shard through the lockstep engine — parent- or child-side.
+    """One batch through the lockstep engine — parent- or child-side.
 
-    Mirrors the unsharded lockstep path exactly: netlists the engine
-    cannot stack fall back to the per-sample loop (failures attributed
-    to *global* task indices), and quarantined samples get their solo
-    rescue rerun inside the shard.
+    Netlists the engine cannot stack fall back to the per-sample loop
+    (failures attributed to *global* task indices), and quarantined
+    samples get their solo rescue rerun inside the batch.
     """
     try:
         results = run_transient_batched(circuits, options)
     except BatchIncompatible:
-        results = []
-        for local, circuit in enumerate(circuits):
-            try:
-                results.append(run_transient(circuit, options))
-            except Exception as exc:
-                raise wrap_task_error(
-                    exc, indices[local], tasks[local], action="transient failed"
-                ) from exc
-        return results
+        return _run_sequential(circuits, tasks, indices, options)
     if options.quarantine and options.rescue:
         _rerun_quarantined(circuits, options, results)
     return results
@@ -475,12 +491,6 @@ def _globalize_quarantine(stats: dict, indices: Sequence[int]) -> None:
         ]
 
 
-def _stamp_shard(stats: dict, shard_no: int, n_shards: int, n_workers: int) -> None:
-    stats["shard"] = shard_no
-    stats["n_shards"] = n_shards
-    stats["shard_workers"] = n_workers
-
-
 def _shard_solo_fallback(
     indices: Sequence[int],
     tasks: Sequence[object],
@@ -489,12 +499,12 @@ def _shard_solo_fallback(
     batch: BatchOptions,
     results: List[object],
 ) -> None:
-    """Recover a failed shard sample-by-sample (``on_error != "raise"``).
+    """Recover a failed job sample-by-sample (``on_error != "raise"``).
 
-    A collective shard failure rarely implicates every member; each
-    sample re-runs solo through the per-sample engine under the batch
-    retry policy, so innocents recover (their slot gets a real result,
-    flagged ``shard_fallback``) and persistent failures land as
+    A job failure rarely implicates every member; each sample re-runs
+    solo through the per-sample engine under the batch retry policy,
+    so innocents recover (their slot gets a real result, flagged
+    ``shard_fallback``) and persistent failures land as
     :class:`~repro.errors.TaskFailure` records in their own slots.
     """
     policy = batch.retry or RetryPolicy()
@@ -511,158 +521,125 @@ def _shard_solo_fallback(
             results[g] = failure
 
 
-def _run_sharded(
+def _run_jobs(
     tasks: Sequence[object],
     build,
     options: TransientOptions,
     batch: BatchOptions,
+    lockstep: bool,
 ) -> List[object]:
-    """Lockstep execution in sub-batches across a shard-level pool.
+    """Sharded (``lockstep``) and process-mode execution.
 
-    The campaign is cut into shards (stiffness-clustered when asked)
-    and each shard runs the existing vectorized lockstep engine.
-    Fixed-grid records stream through *one* shared-memory block —
-    every worker writes its samples' rows at their global offsets, so
-    the waveforms never cross the process boundary as pickles.  With
-    one worker (or one core) the shards run sequentially in-process:
-    same merges, no pool, no shared memory.  Results always come back
-    in task order; a failed shard either raises (``on_error="raise"``,
-    attributed to the first failing sample's global index) or falls
-    back to per-sample solo attempts whose failures become
-    :class:`~repro.errors.TaskFailure` slots.
+    The campaign is cut into jobs ``(job_no, global indices, tasks,
+    lockstep)``: one shard each when ``lockstep`` (stiffness-clustered
+    when asked), else ``batch.chunksize`` tasks run through the
+    per-sample engine.  Every job runs :func:`_job_worker`, which
+    writes each sample's records into that sample's slot of one
+    record block (see :func:`_write_slot`) — a shared-memory block
+    under a pool, so waveforms never cross the process boundary as
+    pickles.  A lockstep campaign with one worker (or one core) runs
+    its jobs in-process on the parent's circuits: same worker, same
+    merge, no pool.  Process mode always pools, since even one worker
+    buys process isolation.
+
+    Results come back in task order, stamped with their job.  A
+    circuit that fails to build in the parent raises, or under
+    ``on_error != "raise"`` becomes a :class:`~repro.errors.TaskFailure`
+    that no job (and no stiffness probe) sees.  A failed job raises
+    (``on_error="raise"``, attributed to the first failing sample's
+    global index), lands ``kind="timeout"`` failures for every sample
+    of a job the watchdog killed, or falls back to per-sample solo
+    attempts whose failures become :class:`~repro.errors.TaskFailure`
+    slots.
     """
-    circuits = _build_all(tasks, build)
     S = len(tasks)
-    workers = batch.resolved_max_workers()
-    shards = _plan_shards(circuits, options, batch, workers)
-    n_shards = len(shards)
-    n_workers = max(1, min(workers, n_shards))
-    if n_workers <= 1:
-        results: List[object] = [None] * S
-        for shard_no, indices in enumerate(shards):
-            sub_circuits = [circuits[i] for i in indices]
-            sub_tasks = [tasks[i] for i in indices]
-            try:
-                shard_results = _run_one_shard(
-                    sub_circuits, sub_tasks, indices, options
-                )
-            except Exception as exc:
-                if batch.on_error == "raise":
-                    if isinstance(exc, BatchTaskError):
-                        raise
-                    samples = getattr(exc, "failed_samples", None)
-                    g = (
-                        int(indices[int(samples[0])])
-                        if samples is not None and len(samples)
-                        else -1
-                    )
-                    task = tasks[g] if 0 <= g < S else None
-                    raise wrap_task_error(
-                        exc, g, task, action="sharded batch failed"
-                    ) from exc
-                _shard_solo_fallback(
-                    indices, tasks, build, options, batch, results
-                )
-                continue
-            for local, g in enumerate(indices):
-                result = shard_results[local]
-                _globalize_quarantine(result.stats, indices)
-                _stamp_shard(result.stats, shard_no, n_shards, 1)
-                results[g] = result
-        return results
-    return _run_sharded_process(
-        tasks, circuits, build, options, batch, shards, n_workers
-    )
-
-
-def _run_sharded_process(
-    tasks: Sequence[object],
-    circuits: Sequence[Circuit],
-    build,
-    options: TransientOptions,
-    batch: BatchOptions,
-    shards: List[List[int]],
-    n_workers: int,
-) -> List[object]:
-    """The multi-worker sharded path: one pool, one shared block."""
-    for circuit in circuits:
-        # Workers rebuild their own circuits; the parent-side ones
-        # label the merged results, so they need branch numbering too.
-        circuit.prepare()
-    S = len(tasks)
-    n_shards = len(shards)
-    jobs = [
-        (shard_no, indices, [tasks[i] for i in indices])
-        for shard_no, indices in enumerate(shards)
-    ]
-    # One shared block needs one record shape: fixed grid and — when
-    # recording full state vectors — homogeneous unknown counts (the
-    # BatchIncompatible per-sample fallback may legally mix sizes).
-    streaming = options.step_control == "fixed" and (
-        options.record_nodes is not None
-        or all(c.size == circuits[0].size for c in circuits)
-    )
     results: List[object] = [None] * S
+    circuits = _build_all(
+        tasks, build, results if batch.on_error != "raise" else None
+    )
+    live = [g for g in range(S) if results[g] is None]
+    if not live:
+        return results
+    workers = batch.resolved_max_workers()
+    if lockstep:
+        shards = _plan_shards([circuits[g] for g in live], options, batch, workers)
+        groups = [[live[i] for i in shard] for shard in shards]
+    else:
+        size = batch.chunksize
+        groups = [live[k : k + size] for k in range(0, len(live), size)]
+    jobs = [
+        (job_no, group, [tasks[g] for g in group], lockstep)
+        for job_no, group in enumerate(groups)
+    ]
+    n_workers = max(1, min(workers, len(jobs)))
+    for g in live:
+        # Pool workers build their own circuits; the parent-side ones
+        # label the merged results, so they need branch numbering too.
+        circuits[g].prepare()
+    width = max(_resolve_recording(circuits[g], options)[2] for g in live)
+    capacity = _slot_capacity(options)
+    shape = (S, 1 + capacity * (1 + width))
     failed: List[tuple] = []
 
-    def merge(payload, records) -> None:
-        if payload[0] == "failed":
-            failed.append(payload[1:])
-            return
-        _tag, shard_no, items = payload
-        for item in items:
-            if records is not None:
-                g, t, nodes, stats = item
-                x = np.array(records[g])
-            else:
-                g, t, x, nodes, stats = item
-            _stamp_shard(stats, shard_no, n_shards, n_workers)
-            results[g] = TransientResult(
-                circuit=circuits[g],
-                t=t,
-                x=x,
-                recorded_nodes=nodes,
-                stats=stats,
-            )
+    def merge(payloads, records: np.ndarray) -> None:
+        for payload in payloads:
+            if payload[0] == "failed":
+                failed.append(payload[1:])
+                continue
+            _tag, job_no, items = payload
+            for g, nodes, stats, n_columns, spilled in items:
+                if spilled is None:
+                    t, x = _read_slot(records[g], capacity, n_columns)
+                else:
+                    t, x = spilled
+                    stats.setdefault("fallbacks", {})["pickled_records"] = 1
+                stats["shard"] = job_no
+                stats["n_shards"] = len(jobs)
+                stats["shard_workers"] = n_workers
+                results[g] = TransientResult(
+                    circuit=circuits[g],
+                    t=t,
+                    x=x,
+                    recorded_nodes=nodes,
+                    stats=stats,
+                )
 
-    if streaming:
-        _indices, _nodes, n_columns = _resolve_recording(circuits[0], options)
-        shape = (S, _fixed_record_count(options), n_columns)
+    if lockstep and n_workers <= 1:
+        state = {
+            "circuits": circuits,
+            "options": options,
+            "records": np.empty(shape),
+            "capacity": capacity,
+        }
+        merge([_job_worker(job, state) for job in jobs], state["records"])
+    else:
         shm = _create_shared_block(shape)
         try:
-            payloads = _drain_shard_pool(
+            payloads = _drain_jobs(
                 jobs,
+                tasks,
                 n_workers,
-                (shm.name, shape, build, options),
+                (shm.name, shape, capacity, build, options),
                 batch.task_timeout,
             )
-            records = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-            for payload in payloads:
-                merge(payload, records)
+            merge(payloads, np.ndarray(shape, dtype=np.float64, buffer=shm.buf))
         finally:
             _release_shared_block(shm)
-    else:
-        payloads = _drain_shard_pool(
-            jobs, n_workers, (None, None, build, options), batch.task_timeout
-        )
-        for payload in payloads:
-            merge(payload, None)
 
-    for shard_no, g, message, cause, *rest in failed:
-        kind = rest[0] if rest else "error"
-        indices = shards[shard_no]
+    for job_no, g, message, cause, kind in failed:
         if batch.on_error == "raise":
             task = tasks[g] if 0 <= g < S else None
             raise BatchTaskError(
-                f"sharded batch failed on task {g} ({task!r}): {message}",
+                f"campaign job failed on task {g} ({task!r}): {message}",
                 index=g,
                 task=task,
                 cause_text=cause,
             )
+        indices = jobs[job_no][1]
         if kind == "timeout":
-            # A hung shard's samples must NOT re-run solo in the
-            # parent — whatever hung the worker would hang us.  They
-            # land as structured timeout failures instead.
+            # A hung job's samples must NOT re-run solo in the parent —
+            # whatever hung the worker would hang us.  They land as
+            # structured timeout failures instead.
             for g_i in indices:
                 results[g_i] = TaskFailure(
                     index=g_i,
@@ -676,124 +653,146 @@ def _run_sharded_process(
     return results
 
 
-def _drain_shard_pool(
+def _drain_jobs(
     jobs: List[tuple],
+    tasks: Sequence[object],
     n_workers: int,
     initargs: tuple,
     timeout: Optional[float],
 ) -> List[tuple]:
-    """Run shard jobs through a pool, with an optional per-shard watchdog.
+    """Run every job through one pool under the shared watchdog.
 
-    Without ``BatchOptions.task_timeout`` this is a plain pool map.
-    With it, every in-flight shard gets a deadline from the moment it
-    is first observed *running* (queue time never counts); an overdue
-    shard's pool is torn down — the only way to stop a hung child —
-    the shard comes back as a ``("failed", ..., kind="timeout")``
-    payload for the parent's ``on_error`` policy, and the surviving
-    shards are resubmitted to a fresh pool.
+    A job the watchdog kills comes back as a ``("failed", ...,
+    "timeout")`` payload for the parent's ``on_error`` policy.
     """
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_shard_init,
-            initargs=initargs,
-        )
-
-    if timeout is None:
-        with make_pool() as executor:
-            return list(executor.map(_shard_worker, jobs))
-
     payloads: List[tuple] = [None] * len(jobs)  # type: ignore[list-item]
-    queue = list(range(len(jobs)))
-    wait_timeout = min(1.0, timeout / 4.0)
-    while queue:
-        rebuild = False
-        executor = make_pool()
+
+    def submit(executor, job_no: int):
+        return executor.submit(_job_worker, jobs[job_no])
+
+    def on_done(job_no: int, future) -> bool:
+        # _job_worker never raises; result() only fails on pool-level
+        # trouble (a dead worker, an unpicklable task).
         try:
-            pending = {executor.submit(_shard_worker, jobs[k]): k for k in queue}
-            queue = []
-            running_since: dict = {}
-            while pending:
-                done, _ = wait(
-                    set(pending), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for future in done:
-                    k = pending.pop(future)
-                    running_since.pop(future, None)
-                    # _shard_worker never raises; result() only fails
-                    # on pool breakage, which should propagate exactly
-                    # as it would out of the map-based drain.
-                    payloads[k] = future.result()
-                for future in pending:
-                    if future not in running_since and future.running():
-                        running_since[future] = now
-                overdue = [
-                    (future, k)
-                    for future, k in pending.items()
-                    if future in running_since
-                    and now - running_since[future] > timeout
-                ]
-                if overdue:
-                    for future, k in overdue:
-                        pending.pop(future)
-                        shard_no = jobs[k][0]
-                        payloads[k] = (
-                            "failed",
-                            shard_no,
-                            -1,
-                            f"shard watchdog fired after {timeout:.1f}s",
-                            f"TimeoutError: shard {shard_no} exceeded "
-                            f"task_timeout={timeout!r}s",
-                            "timeout",
-                        )
-                    queue = list(pending.values())
-                    rebuild = True
-                    break
-        finally:
-            if rebuild:
-                _kill_pool(executor)
-            else:
-                executor.shutdown(wait=True)
+            payloads[job_no] = future.result()
+        except Exception as exc:
+            g = jobs[job_no][1][0]
+            raise wrap_task_error(
+                exc, g, tasks[g], action=f"worker pool failed job {job_no}"
+            ) from exc
+        return False
+
+    def on_timeout(job_no: int) -> bool:
+        payloads[job_no] = (
+            "failed",
+            job_no,
+            -1,
+            f"job watchdog fired after {timeout:.1f}s",
+            f"TimeoutError: job {job_no} exceeded task_timeout={timeout!r}s",
+            "timeout",
+        )
+        return False
+
+    _drain_pool(
+        range(len(jobs)),
+        submit,
+        on_done,
+        on_timeout,
+        max_workers=n_workers,
+        timeout=timeout,
+        initializer=_job_init,
+        initargs=initargs,
+    )
     return payloads
 
 
-def _shard_init(shm_name, shape, build, options) -> None:
-    if shm_name is not None:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        _WORKER_STATE["shm"] = shm
-        _WORKER_STATE["records"] = np.ndarray(
-            shape, dtype=np.float64, buffer=shm.buf
-        )
-        # Detach cleanly at worker exit; the parent owns the unlink.
-        atexit.register(shm.close)
-    else:
-        _WORKER_STATE.pop("records", None)
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
+def _slot_capacity(options: TransientOptions) -> int:
+    """Records one sample's slot holds.
 
-
-def _shard_worker(job):
-    """Run one shard child-side; stream records, return small payloads.
-
-    Never raises: a failed shard comes back as a ``("failed", ...)``
-    payload (shard number, first failing local sample, message,
-    rendered traceback) so sibling shards finish and the parent
-    applies its ``on_error`` policy — an exception through the pool's
-    map would abort the whole drain at the first failure.
+    A fixed grid's record count is known up front, so its slot is
+    exact and never overflows.  Adaptive runs reserve 4x the
+    fixed-grid count at the *initial* dt: the controller shrinks below
+    dt only transiently (near breakpoints or stiffness onsets), so a
+    sample overflowing 4x is rare — and legal: that one sample's
+    arrays come back pickled instead.
     """
-    shard_no, indices, tasks = job
-    build = _WORKER_STATE["build"]
-    options = _WORKER_STATE["options"]
+    count = _fixed_record_count(options)
+    return count if options.step_control == "fixed" else 4 * (count + 2)
+
+
+def _write_slot(
+    slot: np.ndarray, capacity: int, result: TransientResult
+) -> Optional[tuple]:
+    """Write one result into its slot; return ``(t, x)`` if it does not fit.
+
+    A slot is ``[n_records, t[0:capacity], x.ravel()[0:capacity * width]]``
+    — a length header, then the time grid and the row-major record
+    matrix at fixed offsets, so record counts may differ per sample
+    (adaptive grids) and so may column counts up to ``width``
+    (heterogeneous full-state recording).
+    """
+    n = len(result.t)
+    x = result.x
+    if n > capacity or x.size > len(slot) - 1 - capacity:
+        return result.t, x
+    slot[0] = float(n)
+    slot[1 : 1 + n] = result.t
+    slot[1 + capacity : 1 + capacity + x.size].reshape(x.shape)[...] = x
+    return None
+
+
+def _read_slot(
+    slot: np.ndarray, capacity: int, n_columns: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Copy one sample's ``(t, x)`` out of its slot."""
+    n = int(slot[0])
+    t = np.array(slot[1 : 1 + n])
+    x = np.array(slot[1 + capacity : 1 + capacity + n * n_columns])
+    return t, x.reshape(n, n_columns)
+
+
+#: Worker-process state installed by :func:`_job_init`.
+_WORKER_STATE: dict = {}
+
+
+def _job_init(shm_name, shape, capacity, build, options) -> None:
+    _pool_worker_init()
+    shm = shared_memory.SharedMemory(name=shm_name)
+    # Detach cleanly at worker exit; the parent owns the unlink.
+    atexit.register(shm.close)
+    _WORKER_STATE.update(
+        shm=shm,
+        records=np.ndarray(shape, dtype=np.float64, buffer=shm.buf),
+        capacity=capacity,
+        build=build,
+        options=options,
+    )
+
+
+def _job_worker(job, state: dict = _WORKER_STATE):
+    """Run one job; write each result into its slot; return a small payload.
+
+    Never raises: a failed job comes back as a ``("failed", job_no,
+    global index, message, rendered traceback, "error")`` payload so
+    sibling jobs finish and the parent applies its ``on_error``
+    policy.  ``state`` is the pool worker's, or — for in-process
+    sharding — the parent's, which also hands over its prebuilt
+    ``circuits``.
+    """
+    job_no, indices, tasks, lockstep = job
+    options = state["options"]
+    prebuilt = state.get("circuits")
     try:
-        circuits = [build(task) for task in tasks]
-        shard_results = _run_one_shard(circuits, tasks, indices, options)
+        if prebuilt is not None:
+            circuits = [prebuilt[g] for g in indices]
+        else:
+            circuits = [state["build"](task) for task in tasks]
+        run = _run_one_shard if lockstep else _run_sequential
+        results = run(circuits, tasks, indices, options)
     except Exception as exc:  # noqa: BLE001 — becomes a failure payload
         # Attribute to a *global* sample index when the error names
-        # one: a per-sample fallback failure carries it directly, a
-        # collective lockstep failure names its shard-local samples.
+        # one: a per-sample failure carries it directly, a collective
+        # lockstep failure names its job-local samples.
         g = -1
         if isinstance(exc, BatchTaskError):
             g = int(getattr(exc, "index", -1))
@@ -804,290 +803,21 @@ def _shard_worker(job):
         cause = getattr(exc, "cause_text", None) or "".join(
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         )
-        return ("failed", shard_no, g, f"{type(exc).__name__}: {exc}", cause)
-    records = _WORKER_STATE.get("records")
-    payloads = []
-    for g, result in zip(indices, shard_results):
+        return ("failed", job_no, g, f"{type(exc).__name__}: {exc}", cause, "error")
+    items = []
+    for g, result in zip(indices, results):
         _globalize_quarantine(result.stats, indices)
-        if records is not None:
-            records[g] = result.x
-            payloads.append((g, result.t, result.recorded_nodes, dict(result.stats)))
-        else:
-            payloads.append(
-                (g, result.t, result.x, result.recorded_nodes, dict(result.stats))
+        spilled = _write_slot(state["records"][g], state["capacity"], result)
+        items.append(
+            (
+                g,
+                result.recorded_nodes,
+                dict(result.stats),
+                result.x.shape[1],
+                spilled,
             )
-    return ("ok", shard_no, payloads)
-
-
-# -- shared-memory streaming process pool ------------------------------------
-
-#: Worker-process state installed by the pool initializer.
-_WORKER_STATE: dict = {}
-
-
-def _stream_init(shm_name, shape, build, options) -> None:
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _WORKER_STATE["shm"] = shm
-    _WORKER_STATE["records"] = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-    # Detach cleanly at worker exit; the parent owns the unlink.
-    atexit.register(shm.close)
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
-
-
-def _stream_worker(job: Tuple[int, object]):
-    """Run one task, stream its records into the shared block.
-
-    Returns only the small per-task payload (time grid, stats); the
-    waveform matrix never crosses the process boundary as a pickle.
-    Failures wrap child-side so the attribution stays exact even for
-    chunked maps.
-    """
-    index, task = job
-    try:
-        build = _WORKER_STATE["build"]
-        options = _WORKER_STATE["options"]
-        result = run_transient(build(task), options)
-        _WORKER_STATE["records"][index] = result.x
-        return index, result.t, result.recorded_nodes, dict(result.stats)
-    except BatchTaskError:
-        raise
-    except Exception as exc:
-        raise wrap_task_error(
-            exc, index, task, action="transient worker failed"
-        ) from exc
-
-
-def _ragged_record_capacity(options: TransientOptions) -> int:
-    """Per-sample record capacity for the ragged streaming block.
-
-    Adaptive runs have no record count known up front; reserve 4x the
-    fixed-grid count at the *initial* dt.  The adaptive controller
-    shrinks below dt only transiently (near breakpoints or stiffness
-    onsets), so a sample overflowing 4x is rare — and legal: its
-    worker just falls back to pickling that one sample's arrays.
-    """
-    return 4 * (_fixed_record_count(options) + 2)
-
-
-def _ragged_init(shm_name, shape, capacity, n_columns, build, options) -> None:
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _WORKER_STATE["shm"] = shm
-    _WORKER_STATE["records"] = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-    atexit.register(shm.close)
-    _WORKER_STATE["capacity"] = capacity
-    _WORKER_STATE["n_columns"] = n_columns
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
-
-
-def _ragged_worker(job: Tuple[int, object]):
-    """Run one task, stream its ragged records into the shared block.
-
-    Each sample owns one fixed-size slot laid out as
-    ``[n_records, t[0:capacity], x.ravel()[0:capacity * n_columns]]``
-    — a length header followed by the time grid and the row-major
-    record matrix at fixed offsets, so per-sample record counts may
-    differ (adaptive grids, envelope runs).  A result that outgrows
-    the slot is returned as a pickled 5-tuple for that sample only;
-    fits return the small 4-tuple payload like the fixed-grid path.
-    """
-    index, task = job
-    try:
-        build = _WORKER_STATE["build"]
-        options = _WORKER_STATE["options"]
-        result = run_transient(build(task), options)
-        capacity = _WORKER_STATE["capacity"]
-        n_columns = _WORKER_STATE["n_columns"]
-        n = len(result.t)
-        if n <= capacity and result.x.shape == (n, n_columns):
-            slot = _WORKER_STATE["records"][index]
-            slot[0] = float(n)
-            slot[1 : 1 + n] = result.t
-            flat = np.ascontiguousarray(result.x).ravel()
-            slot[1 + capacity : 1 + capacity + n * n_columns] = flat
-            return index, None, result.recorded_nodes, dict(result.stats)
-        return (
-            index,
-            result.t,
-            result.x,
-            result.recorded_nodes,
-            dict(result.stats),
         )
-    except BatchTaskError:
-        raise
-    except Exception as exc:
-        raise wrap_task_error(
-            exc, index, task, action="transient worker failed"
-        ) from exc
-
-
-def _pickled_init(build, options) -> None:
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
-
-
-def _pickled_worker(job: Tuple[int, object]):
-    index, task = job
-    try:
-        result = run_transient(
-            _WORKER_STATE["build"](task), _WORKER_STATE["options"]
-        )
-        return (
-            index,
-            result.t,
-            result.x,
-            result.recorded_nodes,
-            dict(result.stats),
-        )
-    except BatchTaskError:
-        raise
-    except Exception as exc:
-        raise wrap_task_error(
-            exc, index, task, action="transient worker failed"
-        ) from exc
-
-
-def _run_process_streaming(
-    tasks: Sequence[object],
-    build,
-    options: TransientOptions,
-    batch: BatchOptions,
-) -> List[TransientResult]:
-    """Per-task transients in worker processes, records via shared memory.
-
-    Fixed-grid runs have a record count known up front, so one
-    ``multiprocessing.shared_memory`` block of shape
-    ``(n_tasks, n_records, n_columns)`` is preallocated and each
-    worker writes its rows in place — campaigns stream full waveforms
-    without pickling them.  Adaptive runs (record count unknown per
-    sample) stream through a *ragged* block instead: one fixed-size
-    slot per sample holding a length header, the time grid, and the
-    record matrix, sized by :func:`_ragged_record_capacity`; a sample
-    overflowing its slot falls back to pickling just its own arrays.
-    Only campaigns with no single record-column count (heterogeneous
-    full-state recording) use the fully pickled pool.
-
-    ``build``, ``options`` and the tasks must be picklable; circuits
-    are rebuilt in the parent only to label the returned results.
-    """
-    circuits = _build_all(tasks, build)
-    for circuit in circuits:
-        # Workers prepare their own pickled copies; the parent-side
-        # circuits label the returned results, so they need branch
-        # numbering too (waveform/branch_current access).
-        circuit.prepare()
-    n_workers = batch.resolved_max_workers()
-    # One shared block needs one record *width*: explicit record_nodes,
-    # or — when recording full state vectors — homogeneous unknown
-    # counts.  Heterogeneous-topology campaigns (legal here, unlike
-    # lockstep) use the pickled-record pool instead.
-    streaming = (
-        options.record_nodes is not None
-        or all(c.size == circuits[0].size for c in circuits)
-    )
-    jobs = list(enumerate(tasks))
-
-    if streaming and options.step_control == "fixed":
-        _indices, recorded_nodes, n_columns = _resolve_recording(
-            circuits[0], options
-        )
-        shape = (len(tasks), _fixed_record_count(options), n_columns)
-        shm = _create_shared_block(shape)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_stream_init,
-                initargs=(shm.name, shape, build, options),
-            ) as executor:
-                payloads = _gather(
-                    executor.map(_stream_worker, jobs, chunksize=batch.chunksize),
-                    tasks,
-                )
-            records = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-            results = []
-            for index, t, nodes, stats in payloads:
-                results.append(
-                    TransientResult(
-                        circuit=circuits[index],
-                        t=t,
-                        x=np.array(records[index]),
-                        recorded_nodes=nodes,
-                        stats=stats,
-                    )
-                )
-        finally:
-            _release_shared_block(shm)
-        return results
-
-    if streaming:
-        _indices, recorded_nodes, n_columns = _resolve_recording(
-            circuits[0], options
-        )
-        capacity = _ragged_record_capacity(options)
-        # Slot layout: [n, t(capacity), x.ravel()(capacity * n_columns)].
-        shape = (len(tasks), 1 + capacity * (1 + n_columns))
-        shm = _create_shared_block(shape)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_ragged_init,
-                initargs=(shm.name, shape, capacity, n_columns, build, options),
-            ) as executor:
-                payloads = _gather(
-                    executor.map(_ragged_worker, jobs, chunksize=batch.chunksize),
-                    tasks,
-                )
-            records = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-            results = []
-            for payload in payloads:
-                if len(payload) == 5:  # overflowed its slot: pickled
-                    index, t, x, nodes, stats = payload
-                else:
-                    index, _sentinel, nodes, stats = payload
-                    slot = records[index]
-                    n = int(slot[0])
-                    t = np.array(slot[1 : 1 + n])
-                    x = np.array(
-                        slot[1 + capacity : 1 + capacity + n * n_columns]
-                    ).reshape(n, n_columns)
-                results.append(
-                    TransientResult(
-                        circuit=circuits[index],
-                        t=t,
-                        x=x,
-                        recorded_nodes=nodes,
-                        stats=stats,
-                    )
-                )
-        finally:
-            _release_shared_block(shm)
-        return results
-
-    with ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_pickled_init,
-        initargs=(build, options),
-    ) as executor:
-        payloads = _gather(
-            executor.map(_pickled_worker, jobs, chunksize=batch.chunksize),
-            tasks,
-        )
-    return [
-        TransientResult(
-            circuit=circuits[index],
-            t=t,
-            x=x,
-            recorded_nodes=nodes,
-            stats=stats,
-        )
-        for index, t, x, nodes, stats in payloads
-    ]
-
-
-def _gather(iterator, tasks):
-    """Drain an executor map, wrapping failures with their task index."""
-    return drain_ordered(iterator, tasks, action="transient worker failed")
+    return ("ok", job_no, items)
 
 
 # -- warm-started envelope campaigns ------------------------------------------

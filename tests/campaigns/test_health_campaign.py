@@ -128,7 +128,10 @@ class TestShardedNaNAcceptance:
 
 
 class TestShardWatchdog:
-    def test_hung_shard_becomes_timeout_failures(self):
+    # Process-mode jobs are chunksize tasks; chunksize=4 cuts the same
+    # jobs as shard_size=4, so both modes lose the same hung job.
+    @pytest.mark.parametrize("batch_mode", ["sharded", "process"])
+    def test_hung_shard_becomes_timeout_failures(self, batch_mode):
         """A worker hung mid-solve is killed; its shard's samples land
         as ``TaskFailure(kind="timeout")`` and every other shard's
         results survive.  Must finish far faster than the hang."""
@@ -139,9 +142,10 @@ class TestShardWatchdog:
             build,
             TransientOptions(t_stop=T_STOP, dt=DT, step_control="fixed"),
             BatchOptions(
-                batch_mode="sharded",
+                batch_mode=batch_mode,
                 max_workers=4,
                 shard_size=4,
+                chunksize=4,
                 on_error="skip",
                 task_timeout=3.0,
             ),
@@ -157,14 +161,15 @@ class TestShardWatchdog:
                 assert np.isfinite(result.x).all()
         assert shm_segments() - before == set()
 
-    def test_hung_shard_raises_when_asked(self):
+    @pytest.mark.parametrize("batch_mode", ["sharded", "process"])
+    def test_hung_shard_raises_when_asked(self, batch_mode):
         with pytest.raises(BatchTaskError, match="watchdog"):
             run_transient_campaign(
                 tasks_with("hang", 1, n=8),
                 build,
                 TransientOptions(t_stop=T_STOP, dt=DT, step_control="fixed"),
                 BatchOptions(
-                    batch_mode="sharded",
+                    batch_mode=batch_mode,
                     max_workers=4,
                     shard_size=2,
                     on_error="raise",

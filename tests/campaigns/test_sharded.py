@@ -182,7 +182,7 @@ class TestShardMergeBitIdentity:
 
     def test_adaptive_sharded_runs_per_shard_grids(self):
         """Explicit adaptive sharding: every sample finishes, each
-        shard on its own worst-sample grid (pickled-record pool)."""
+        shard on its own worst-sample grid (4x record slots)."""
         build, tasks, _kw, _s = FAMILIES["rank1"]
         options = TransientOptions(
             t_stop=4 * T0,
@@ -270,19 +270,25 @@ class TestShardedFaults:
                 continue
             np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=0)
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_task_failure_lands_in_guilty_slot(self, max_workers):
+    @pytest.mark.parametrize(
+        "batch_mode, max_workers",
+        [("sharded", 1), ("sharded", 2), ("process", 2)],
+        ids=["1", "2", "process-2"],
+    )
+    def test_task_failure_lands_in_guilty_slot(self, batch_mode, max_workers):
         """No quarantine: the faulty shard fails collectively; under
         on_error="skip" only the guilty samples become TaskFailure
-        records, shard-mates recover through the solo fallback."""
+        records, shard-mates recover through the solo fallback.
+        Process-mode jobs of chunksize=4 fail and recover the same."""
         options = _faulty_options(quarantine=False)
         results = run_transient_campaign(
             FAULTY_TASKS,
             build_faulty_rank1,
             options,
             BatchOptions(
-                batch_mode="sharded",
+                batch_mode=batch_mode,
                 shard_size=4,
+                chunksize=4,
                 max_workers=max_workers,
                 on_error="skip",
             ),
@@ -320,20 +326,70 @@ class TestShardedFaults:
             assert isinstance(results[s], TaskFailure)
             assert results[s].attempts == attempts
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_on_error_raise_names_global_sample(self, max_workers):
+    @pytest.mark.parametrize(
+        "batch_mode, max_workers",
+        [("sharded", 1), ("sharded", 2), ("process", 2)],
+        ids=["1", "2", "process-2"],
+    )
+    def test_on_error_raise_names_global_sample(self, batch_mode, max_workers):
         with pytest.raises(BatchTaskError) as excinfo:
             run_transient_campaign(
                 FAULTY_TASKS,
                 build_faulty_rank1,
                 _faulty_options(quarantine=False),
                 BatchOptions(
-                    batch_mode="sharded",
+                    batch_mode=batch_mode,
                     shard_size=4,
                     max_workers=max_workers,
                 ),
             )
         assert excinfo.value.index == _FAULTY[0]
+
+    @pytest.mark.parametrize(
+        "batch_mode, max_workers",
+        [("sharded", 1), ("sharded", 2), ("process", 2)],
+    )
+    def test_build_failure_lands_in_its_slot(self, batch_mode, max_workers):
+        """A circuit that fails to build in the parent becomes a
+        TaskFailure under on_error="skip"; the other samples run."""
+        tasks = [(i, 1.0 + 0.05 * i) for i in range(6)]
+        options = TransientOptions(**FAMILIES["rank1"][2])
+        results = run_transient_campaign(
+            tasks,
+            build_unbuildable_rank1,
+            options,
+            BatchOptions(
+                batch_mode=batch_mode,
+                shard_size=2,
+                stiffness_bins=2,
+                max_workers=max_workers,
+                on_error="skip",
+            ),
+        )
+        failure = results[_UNBUILDABLE]
+        assert isinstance(failure, TaskFailure)
+        assert failure.index == _UNBUILDABLE
+        assert "refuses to build" in str(failure.error)
+        for s, result in enumerate(results):
+            if s != _UNBUILDABLE:
+                assert result.t[-1] == pytest.approx(8 * T0)
+        with pytest.raises(BatchTaskError) as excinfo:
+            run_transient_campaign(
+                tasks,
+                build_unbuildable_rank1,
+                options,
+                BatchOptions(batch_mode=batch_mode, max_workers=max_workers),
+            )
+        assert excinfo.value.index == _UNBUILDABLE
+
+
+_UNBUILDABLE = 4
+
+
+def build_unbuildable_rank1(task):
+    if task[0] == _UNBUILDABLE:
+        raise ValueError(f"sample {task[0]} refuses to build")
+    return build_faulty_rank1(task)
 
 
 # -- stiffness clustering ------------------------------------------------------

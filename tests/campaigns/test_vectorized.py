@@ -104,7 +104,7 @@ class TestRunTransientCampaign:
         # every sample overflows.
         from repro.campaigns import vectorized
 
-        monkeypatch.setattr(vectorized, "_ragged_record_capacity", lambda _o: 2)
+        monkeypatch.setattr(vectorized, "_slot_capacity", lambda _o: 2)
         options = TransientOptions(
             t_stop=2e-5,
             dt=1e-8,
@@ -121,6 +121,7 @@ class TestRunTransientCampaign:
         for ref, res in zip(reference, streamed):
             np.testing.assert_array_equal(res.t, ref.t)
             np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=0)
+            assert res.stats["fallbacks"] == {"pickled_records": 1}
 
     def test_empty_tasks(self):
         assert run_transient_campaign([], build_rc, OPTIONS) == []
@@ -255,9 +256,9 @@ def build_sized(n):
 
 class TestHeterogeneousProcessCampaign:
     def test_full_state_recording_uses_pickled_records(self):
-        # Different unknown counts cannot share one shm record shape;
-        # the process path must fall back to pickled records and
-        # still return correct per-task results.
+        # Different unknown counts share one shm block whose slots
+        # are as wide as the widest sample; every per-task result
+        # must still come back exact.
         tasks = [1, 2, 3]
         results = run_transient_campaign(
             tasks,
