@@ -29,4 +29,4 @@ bench-check:
 	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/run_perf.py --check
 
 perfbench:
-	python3 perfbench/run.py --workload all --seed 1 --seconds 16 --trace 0
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 16 --trace 0

@@ -126,8 +126,17 @@ class EnvelopeModel:
         cycle-skipping transient engine calls this once per skip, so
         it must be cheap and bit-reproducible (no adaptive solver
         heuristics).  ``max_step`` caps the RK4 substep; the default
-        resolves the interval with 64 substeps.
+        resolves the interval with 64 substeps.  With the tabulated
+        tanh fundamental (and the hard limiter's closed form) each
+        derivative is a few microseconds, so the cost is the RK4 loop
+        itself.  A non-finite ``a0`` or ``duration`` raises
+        :class:`~repro.errors.SimulationError`.
         """
+        if not (math.isfinite(a0) and math.isfinite(duration)):
+            raise SimulationError(
+                f"envelope advance needs a finite amplitude and duration, "
+                f"got a0={a0}, duration={duration}"
+            )
         if duration <= 0:
             return max(float(a0), 0.0)
         n = 64

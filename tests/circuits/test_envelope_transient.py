@@ -18,7 +18,7 @@ from repro.circuits import (
     run_transient_envelope,
 )
 from repro.core import OscillatorNetlist
-from repro.envelope import EnvelopeModel, RLCTank, TanhLimiter
+from repro.envelope import EnvelopeModel, LimiterCharacteristic, RLCTank, TanhLimiter
 from repro.errors import SimulationError
 
 F = 4e6
@@ -141,6 +141,35 @@ class TestReAnchorControl:
         env = run_transient_envelope(_circuit(), options, _envelope())
         history = env.stats["envelope"]["skip_history"]
         assert max(h["skip"] for h in history) > 8
+
+
+class _QuadratureTanh(LimiterCharacteristic):
+    """TanhLimiter's characteristic with the base-class quadrature I1."""
+
+    def sample(self, v):
+        return self.i_max * np.tanh(self.gm * np.asarray(v, dtype=float) / self.i_max)
+
+
+class TestTabulatedPredictor:
+    def test_skip_decisions_match_quadrature_predictor(self):
+        # The shared tanh table must not move a single skip decision of
+        # the Fig 16 startup against the per-call quadrature it replaces.
+        options = _options(400)
+        quadrature = EnvelopeModel(_tank(), _QuadratureTanh(gm=6e-3, i_max=2e-3))
+        runs = [
+            run_transient_envelope(_circuit(), options, _envelope(model=model))
+            for model in (_model(), quadrature)
+        ]
+        table, quad = (r.stats["envelope"] for r in runs)
+        assert [h["skip"] for h in table["skip_history"]] == [
+            h["skip"] for h in quad["skip_history"]
+        ]
+        assert table["resolved_cycles"] == quad["resolved_cycles"]
+        assert table["skipped_cycles"] == quad["skipped_cycles"]
+        assert table["warm_start"] == quad["warm_start"]
+        assert table["final"]["amplitude"] == pytest.approx(
+            quad["final"]["amplitude"], rel=1e-9
+        )
 
 
 class TestWarmStart:

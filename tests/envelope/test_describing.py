@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.envelope import (
     HardLimiter,
     K_SQUARE_WAVE,
+    LimiterCharacteristic,
     TanhLimiter,
     delivered_power,
     effective_gm,
@@ -16,6 +17,7 @@ from repro.envelope import (
     k_factor,
     mean_abs_current,
 )
+from repro.envelope import describing
 from repro.errors import ConfigurationError
 
 
@@ -154,3 +156,116 @@ def test_property_fundamental_bounds(gm, i_max, amp):
     assert i1 >= 0.0
     assert i1 <= gm * amp * (1 + 1e-9)
     assert i1 <= 4 * i_max / math.pi * (1 + 1e-9)
+
+
+@settings(max_examples=50)
+@given(
+    gm=st.floats(1e-4, 1e-1),
+    i_max=st.floats(1e-5, 1e-1),
+    amp=st.floats(1e-3, 100.0),
+)
+def test_property_tanh_fundamental_bounds(gm, i_max, amp):
+    """0 <= I1 <= min(gm*A, 4 IM/pi) holds for the tanh table too."""
+    lim = TanhLimiter(gm=gm, i_max=i_max)
+    i1 = fundamental_current(lim, amp)
+    assert i1 >= 0.0
+    assert i1 <= gm * amp * (1 + 1e-9)
+    assert i1 <= 4 * i_max / math.pi * (1 + 1e-9)
+
+
+def _quadrature(lim, amp, n=2048):
+    """The base-class quadrature of ``lim``'s fundamental."""
+    return LimiterCharacteristic.fundamental(lim, amp, n=n)
+
+
+class TestTanhTable:
+    """The shared table of g(c) = I1/IM behind ``TanhLimiter.fundamental``."""
+
+    UNIT = TanhLimiter(gm=1.0, i_max=1.0)  # I1(A) = g(A)
+
+    def test_matches_converged_quadrature_over_all_branches(self):
+        # c in [1e-6, 1e3] covers the small-c series, both table ends
+        # and the large-c asymptotic series.  The reference uses 2**16
+        # points: at c = 1e3 even n = 8192 is off by 2.5e-11.
+        lim = TanhLimiter(gm=6e-3, i_max=2e-3)
+        for c in np.geomspace(1e-6, 1e3, 181):
+            amp = c * lim.i_max / lim.gm
+            ref = _quadrature(lim, amp, n=1 << 16)
+            assert lim.fundamental(amp) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+    def test_midpoint_error_bound(self):
+        """Checked error bound: <= 1e-12 of the n=2048 quadrature at
+        every interval midpoint, where a cubic Hermite error peaks."""
+        u0 = math.log(describing._TANH_SERIES_MAX)
+        du = (math.log(describing._TANH_ASYMPTOTIC_MIN) - u0) / (
+            describing._TANH_NODES - 1
+        )
+        mids = np.exp(u0 + du * (np.arange(describing._TANH_NODES - 1) + 0.5))
+        table = np.array([self.UNIT.fundamental(c) for c in mids])
+        quadrature = np.array([_quadrature(self.UNIT, c) for c in mids])
+        assert np.max(np.abs(table - quadrature) / quadrature) <= 1e-12
+
+    def test_ignores_n(self):
+        for c in (1e-4, 0.5, 3.0, 100.0):
+            assert self.UNIT.fundamental(c, n=64) == self.UNIT.fundamental(c)
+
+    def test_monotone(self):
+        c = np.geomspace(1e-6, 1e3, 20001)
+        i1 = np.array([self.UNIT.fundamental(x) for x in c])
+        assert np.all(np.diff(i1) > 0)
+        assert i1[-1] < 4.0 / math.pi
+
+    @pytest.mark.parametrize(
+        "gm,i_max", [(6e-3, 2e-3), (1e-4, 1e-1), (0.1, 1e-5), (2.5, 3.0)]
+    )
+    def test_scaling(self, gm, i_max):
+        """One table serves every limiter: I1(A) = IM g(gm A / IM)."""
+        lim = TanhLimiter(gm=gm, i_max=i_max)
+        for c in (3e-4, 0.02, 1.0, 7.5, 63.0, 500.0):
+            amp = c * i_max / gm
+            assert lim.fundamental(amp) == i_max * describing._tanh_fundamental(
+                gm * amp / i_max
+            )
+            assert lim.fundamental(amp) == pytest.approx(
+                i_max * self.UNIT.fundamental(c), rel=1e-13
+            )
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize(
+        "amp,n", [(0.01, 2048), (0.37, 2048), (2.0, 512), (25.0, 8192), (1.0, 7)]
+    )
+    def test_cached_grid_is_bit_identical(self, amp, n):
+        lim = TanhLimiter(gm=5e-3, i_max=1e-3)
+        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        s = np.sin(theta)
+        i1 = float(np.sum(lim.sample(amp * s) * s) * (2.0 * np.pi / n) / np.pi)
+        mean_abs = float(np.mean(np.abs(lim.sample(amp * s))))
+        assert _quadrature(lim, amp, n) == i1
+        assert lim.mean_abs(amp, n=n) == mean_abs
+
+    def test_grid_is_read_only(self):
+        with pytest.raises(ValueError):
+            describing._quadrature_sin(2048)[0] = 1.0
+
+
+class TestNonFiniteAmplitude:
+    ENTRY_POINTS = {
+        "fundamental": lambda lim, a: lim.fundamental(a),
+        "mean_abs": lambda lim, a: lim.mean_abs(a),
+        "quadrature_fundamental": lambda lim, a: _quadrature(lim, a),
+        "quadrature_mean_abs": lambda lim, a: LimiterCharacteristic.mean_abs(lim, a),
+        "fundamental_current": fundamental_current,
+        "mean_abs_current": mean_abs_current,
+        "effective_gm": effective_gm,
+        "delivered_power": delivered_power,
+        "k_factor": k_factor,
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("limiter", [HardLimiter, TanhLimiter])
+    def test_rejected(self, limiter, entry, bad):
+        lim = limiter(gm=5e-3, i_max=1e-3)
+        with pytest.raises(ConfigurationError):
+            self.ENTRY_POINTS[entry](lim, bad)

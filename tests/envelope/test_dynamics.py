@@ -97,6 +97,17 @@ class TestSimulation:
         with pytest.raises(SimulationError):
             model.startup_time(fraction=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("limiter", [HardLimiter, TanhLimiter])
+    def test_advance_rejects_non_finite(self, tank, limiter, bad):
+        # A NaN amplitude would otherwise come back as the cycle-skipping
+        # engine's jump scale.
+        model = EnvelopeModel(tank, limiter(gm=10e-3, i_max=1e-3))
+        with pytest.raises(SimulationError):
+            model.advance(bad, 1e-6)
+        with pytest.raises(SimulationError):
+            model.advance(0.1, bad)
+
 
 class TestCrossValidationAgainstMNA:
     """The envelope model and the carrier-level MNA transient describe
