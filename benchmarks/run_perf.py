@@ -714,6 +714,13 @@ def bench_mc_startup_batched(n_samples: int = 64, cycles: int = 20) -> dict:
     )
     newton = sum(r.stats["newton_iterations"] for r in batch_results)
     newton_ref = sum(r.stats["newton_iterations"] for r in per_results)
+    # The mask-driven lockstep Newton must do exactly the per-sample
+    # iteration work, live, on this run; the committed-baseline gate
+    # on the recorded count then catches drift in both engines.
+    assert newton == newton_ref, (
+        f"lockstep Newton did {newton} iterations, the per-sample "
+        f"engine {newton_ref}"
+    )
     return {
         "workload": f"lockstep MC startup campaign, {n_samples} mismatch "
         f"samples, {cycles} carrier cycles each",
@@ -723,8 +730,7 @@ def bench_mc_startup_batched(n_samples: int = 64, cycles: int = 20) -> dict:
         "seed_seconds": seed_seconds,
         "optimized_seconds": opt_seconds,
         "speedup": seed_seconds / opt_seconds,
-        # The mask-driven lockstep Newton must do exactly the per-
-        # sample iteration work; both are recorded so the gate catches
+        # Asserted equal above; both are recorded so the gate catches
         # an engine change that quietly costs iterations.
         "optimized_newton_iterations": newton,
         "per_sample_newton_iterations": newton_ref,

@@ -8,19 +8,28 @@ per-sample solve strategies (``linear``/``rank1``/``woodbury``/
 and the recording options campaigns actually use.
 """
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
 from repro.circuits import (
     BatchIncompatible,
     Circuit,
+    NewtonOptions,
     TransientOptions,
     run_transient,
     run_transient_batched,
     sine,
 )
+from repro.circuits.batched import (
+    BatchedTransientAssembly,
+    _BatchedStepSolver,
+    _row_absmax,
+)
 from repro.core import OscillatorNetlist, supply_loss_tank_circuit
-from repro.envelope import RLCTank, TanhLimiter
+from repro.envelope import HardLimiter, RLCTank, TanhLimiter
 from repro.envelope.describing import tanh_limiter_pair
 from repro.errors import SimulationError
 
@@ -41,10 +50,10 @@ def build_rlc(r, amplitude=1.0):
     return circuit
 
 
-def build_oscillator(gm_scale, q_scale=1.0):
+def build_oscillator(gm_scale, q_scale=1.0, limiter_cls=TanhLimiter):
     """Rank-1 strategy: the Fig 1 startup netlist, one NonlinearVCCS."""
     tank = RLCTank.from_frequency_and_q(F0, 15.0 * q_scale, 1e-6)
-    limiter = TanhLimiter(gm=6e-3 * gm_scale, i_max=2e-3)
+    limiter = limiter_cls(gm=6e-3 * gm_scale, i_max=2e-3)
     return OscillatorNetlist(tank, vref=2.5).build(limiter)
 
 
@@ -145,6 +154,21 @@ class TestStrategyEquivalence:
             for g in (2e-3, 3e-3)
         ]
         assert_batch_equivalent(builders, self.options(method), atol=1e-12)
+
+    def test_scalar_linearize_fallback_rank1(self, method):
+        # The same scalar loop inside the rank-1 kernel (k=1).
+        builders = [
+            lambda g=g: build_k_vccs(1, g, vectorized=False)
+            for g in (2e-3, 2.5e-3, 3e-3)
+        ]
+        per, bat = assert_batch_equivalent(
+            builders, self.options(method), atol=1e-12
+        )
+        assert per[0].stats["strategy"] == "rank1"
+        assert bat[0].stats["strategy"] == "batched-rank1"
+        assert [r.stats["newton_iterations"] for r in bat] == [
+            r.stats["newton_iterations"] for r in per
+        ]
 
 
 class TestRaggedConvergence:
@@ -493,3 +517,304 @@ class TestSkipMask:
         assert results[0].stats["skipped_steps"] == 0
         assert results[1].stats["skipped_steps"] > 0
         assert np.isfinite(results[1].x).all()
+
+
+def kernel_lines(run):
+    """Source lines of the batched rank-1 kernel that ``run()`` executes.
+
+    The rare branches below change no output a test could read, so
+    the tests check that they ran by tracing the kernel's lines.
+    """
+    kernel = _BatchedStepSolver._step_rank1
+    source, first = inspect.getsourcelines(kernel)
+    executed = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            executed.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is kernel.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return [source[line - first] for line in sorted(executed)]
+
+
+def ran(lines, marker):
+    return any(marker in line for line in lines)
+
+
+#: Markers of the kernel's rare branches (first line of each).
+ONLINE_DAMPING = "c_damped = "
+OFFLINE_DAMPING = "over = (maxd > max_step)"
+DENSE_FALLBACK = "denom = np.where(bad"
+
+
+def assert_traced_equivalent(builders, options, rtol=1e-9, atol=1e-15):
+    """Per-sample equivalence, equal iteration counts, kernel lines."""
+    out = {}
+
+    def run():
+        out["pair"] = assert_batch_equivalent(builders, options, rtol, atol)
+
+    lines = kernel_lines(run)
+    per, bat = out["pair"]
+    assert bat[0].stats["strategy"] == "batched-rank1"
+    assert [r.stats["newton_iterations"] for r in bat] == [
+        r.stats["newton_iterations"] for r in per
+    ]
+    return lines
+
+
+def build_shunt_limiter(limiter):
+    """A current-driven RC node shunted by a limiter of gm >> 1/R.
+
+    Each time the drive leaves the limiter's linear band, an undamped
+    landing step inside the band is followed by a large step into
+    saturation: the on-line damping branch.
+    """
+    circuit = Circuit("shunt")
+    circuit.current_source("I", "0", "a", sine(2e-3, 1e5))
+    circuit.resistor("R", "a", "0", 1e3)
+    circuit.capacitor("C", "a", "0", 1e-10)
+    family, params = limiter.vector_pair_spec()
+    circuit.nonlinear_vccs(
+        "G",
+        "a",
+        "0",
+        "a",
+        "0",
+        limiter,
+        pair=limiter.value_and_slope,
+        vector_pair=family,
+        vector_params=params,
+    )
+    return circuit
+
+
+def linear_pair(v, slope):
+    """Batchable linear family ``i = slope * v``."""
+    v = np.asarray(v, dtype=float)
+    return slope * v, slope * np.ones_like(v)
+
+
+R_SINGULAR = 1e3
+
+
+def build_singular_slope(slope, vectorized):
+    """An RC low-pass plus a decoupled node ``b`` whose VCCS conducts
+    across its own control resistor.  At ``slope = -(1/R + gmin)`` the
+    rank-1 denominator ``1 + gm*vw`` vanishes; ``b`` has no drive, so
+    the dense fallback's answer there (``v_b = 0``) is well defined."""
+    circuit = Circuit("singular")
+    circuit.voltage_source("Vin", "in", "0", sine(1.0, 1e5))
+    circuit.resistor("R", "in", "out", 100.0)
+    circuit.capacitor("C", "out", "0", 1e-9)
+    circuit.resistor("Rb", "b", "0", R_SINGULAR)
+    circuit.nonlinear_vccs(
+        "G",
+        "b",
+        "0",
+        "b",
+        "0",
+        lambda v, s=slope: s * v,
+        pair=lambda v, s=slope: (s * v, s),
+        vector_pair=linear_pair if vectorized else None,
+        vector_params=(slope,) if vectorized else (),
+    )
+    return circuit
+
+
+@pytest.mark.parametrize("limiter_cls", [TanhLimiter, HardLimiter])
+class TestForcedDamping:
+    """A small ``max_step`` drives the rank-1 kernel through its damping
+    branches; every sample must still iterate exactly as it would alone."""
+
+    def test_oscillator_offline_damping(self, limiter_cls):
+        options = TransientOptions(
+            t_stop=20 * T0,
+            dt=T0 / 40,
+            use_dc_operating_point=False,
+            newton=NewtonOptions(max_step=0.05),
+        )
+        builders = [
+            lambda g=g: build_oscillator(g, limiter_cls=limiter_cls)
+            for g in (0.8, 1.0, 1.4, 2.0)
+        ]
+        lines = assert_traced_equivalent(builders, options)
+        assert ran(lines, OFFLINE_DAMPING)
+
+    def test_shunt_limiter_online_damping(self, limiter_cls):
+        options = TransientOptions(
+            t_stop=2e-5,
+            dt=1e-7,
+            use_dc_operating_point=True,
+            newton=NewtonOptions(max_step=0.01),
+        )
+        builders = [
+            lambda g=g: build_shunt_limiter(limiter_cls(gm=g, i_max=1e-3))
+            for g in (1.0, 1.2, 1.5)
+        ]
+        lines = assert_traced_equivalent(builders, options)
+        assert ran(lines, ONLINE_DAMPING)
+        assert ran(lines, OFFLINE_DAMPING)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_singular_denominator_dense_fallback(vectorized):
+    # Samples 0 and 2 sit on the singular slope, sample 1 next to them
+    # takes the Sherman-Morrison path in the same iterations.
+    g = 1.0 / R_SINGULAR + NewtonOptions().gmin
+    builders = [
+        lambda s=s: build_singular_slope(s, vectorized) for s in (-g, g, -g)
+    ]
+    options = TransientOptions(t_stop=2e-6, dt=1e-8, use_dc_operating_point=True)
+    lines = assert_traced_equivalent(builders, options)
+    assert ran(lines, DENSE_FALLBACK)
+
+
+def bits(a):
+    """Bit pattern of a float array (NaN-exact comparisons)."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+T_POISON = 6 * T0
+
+
+def poison_after(t):
+    return float("nan") if t > T_POISON else 0.0
+
+
+def build_poisonable(gm_scale, poison):
+    circuit = build_oscillator(gm_scale)
+    circuit.current_source("Ip", "0", "lc1", poison_after if poison else 0.0)
+    return circuit
+
+
+class TestFrozenRows:
+    """Quarantined and skipped samples next to live ones: the full-width
+    kernel computes their rows but must never write them, nor warn
+    about the non-finite values they may carry."""
+
+    SCALES = (0.9, 1.0, 1.2, 1.4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_quarantined_and_skipped_next_to_survivors(self):
+        options = TransientOptions(
+            t_stop=12 * T0,
+            dt=T0 / 40,
+            use_dc_operating_point=False,
+            quarantine=True,
+            guards=True,
+        )
+
+        def mask(t):
+            return np.array([False, False, 3 * T0 <= t < 5 * T0, False])
+
+        circuits = [
+            build_poisonable(g, poison=(s == 1))
+            for s, g in enumerate(self.SCALES)
+        ]
+        results = run_transient_batched(circuits, options, skip_mask=mask)
+        t = results[0].t
+        # Sample 1 dies on its first NaN stimulus; its iterate stays at
+        # the last converged step for the rest of the run.
+        assert results[1].stats["quarantine"]["reason"] == "health"
+        last_good = np.flatnonzero(t <= T_POISON)[-1]
+        x1 = results[1].x
+        assert (bits(x1[last_good:]) == bits(x1[last_good])).all()
+        # Sample 2 sits the window out with its iterate held.
+        x2 = results[2].x
+        window = np.flatnonzero((t >= 3 * T0) & (t < 5 * T0))
+        held = bits(x2[window[0] - 1])
+        assert (bits(x2[window]) == held).all()
+        assert results[2].stats["skipped_steps"] == window.size
+        # The survivors run as they would alone.
+        for s in (0, 3):
+            reference = run_transient(
+                build_poisonable(self.SCALES[s], poison=False), options
+            )
+            np.testing.assert_allclose(
+                results[s].x, reference.x, rtol=1e-9, atol=1e-15
+            )
+            assert (
+                results[s].stats["newton_iterations"]
+                == reference.stats["newton_iterations"]
+            )
+
+    @pytest.mark.filterwarnings("error")
+    def test_kernel_never_writes_frozen_rows(self):
+        options = TransientOptions(dt=T0 / 40, use_dc_operating_point=False)
+        circuits = [build_oscillator(g) for g in self.SCALES]
+        asm = BatchedTransientAssembly(
+            circuits, options.dt, options.resolved_method(), options.newton.gmin
+        )
+        x = np.zeros((len(circuits), asm.size))
+        asm.init_state(x)
+        solver = _BatchedStepSolver(asm, options.newton, quarantine=True)
+        for step in range(1, 41):
+            time = step * options.dt
+            x = solver.step(x, asm.step_rhs(time), time)
+            asm.commit(x, time)
+        time = 41 * options.dt
+        before = solver.newton_per_sample.copy()
+        plain = solver.step(x, asm.step_rhs(time), time)
+        counts = solver.newton_per_sample.copy()
+
+        # Sample 1: quarantined with a non-finite iterate (control
+        # voltage +inf, the rest NaN) and a NaN companion state, so a
+        # NaN stimulus; sample 2: skipped.
+        solver.quarantine([1], time, "test")
+        solver.set_skipped(np.array([False, False, True, False]))
+        lc1, lc2 = (circuits[0].node_names.index(n) for n in ("lc1", "lc2"))
+        x = x.copy()
+        x[1] = np.nan
+        x[1, lc1], x[1, lc2] = np.inf, 1.0
+        asm.v[1] = np.nan
+        asm.i[1] = np.nan
+        v0, i0 = asm.v.copy(), asm.i.copy()
+        frozen = solver.step(x, asm.step_rhs(time), time)
+        assert (bits(frozen[1:3]) == bits(x[1:3])).all()
+        assert (bits(frozen[[0, 3]]) == bits(plain[[0, 3]])).all()
+        added = solver.newton_per_sample - counts
+        assert added[1] == added[2] == 0
+        assert (added[[0, 3]] == (counts - before)[[0, 3]]).all()
+        asm.commit(frozen, time, freeze=solver.frozen)
+        assert (bits(asm.v[1:3]) == bits(v0[1:3])).all()
+        assert (bits(asm.i[1:3]) == bits(i0[1:3])).all()
+
+
+class TestRowAbsMax:
+    """``_row_absmax`` is ``np.abs(a).max(axis=1)``, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 7])
+    def test_random_rows(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((257, m)) * 10.0 ** rng.integers(
+            -12, 12, (257, m)
+        )
+        assert (bits(_row_absmax(a)) == bits(np.abs(a).max(axis=1))).all()
+        # Column slices of a wider array, as the engine passes them.
+        wide = np.hstack([a, a])
+        assert (
+            bits(_row_absmax(wide[:, :m])) == bits(np.abs(a).max(axis=1))
+        ).all()
+
+    def test_special_values(self):
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.5]
+        rows = [
+            [p, q, r] for p in specials for q in specials for r in specials
+        ]
+        a = np.array(rows)
+        assert (bits(_row_absmax(a)) == bits(np.abs(a).max(axis=1))).all()
+
+    def test_zero_width(self):
+        out = _row_absmax(np.empty((5, 0)))
+        assert out.shape == (5,)
+        assert (bits(out) == bits(np.zeros(5))).all()
