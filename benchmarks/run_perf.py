@@ -100,6 +100,11 @@ if an adaptive workload's amplitude/frequency error exceeded its
 acceptance bound.  ``make verify`` wires this behind the tier-1
 pytest run.
 
+A bench or gate that fails by raising (its own acceptance
+``assert``, or any error) is printed and the run goes on, so one
+failure never hides the verdict of the others; the exit status is 1
+if anything failed, and a plain run then writes no JSON.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_perf.py [--out PATH] [--quick]
@@ -115,7 +120,9 @@ import os
 import pathlib
 import sys
 import time
+import traceback
 import warnings
+from typing import List, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -991,6 +998,19 @@ def bench_fault_coverage() -> dict:
 # -- harness ----------------------------------------------------------------
 
 
+def _attempt(name: str, fn):
+    """Run one bench or gate; return its value, or None after
+    printing why it failed (with the traceback unless it was the
+    bench's own acceptance ``assert``)."""
+    try:
+        return fn()
+    except Exception as exc:
+        print(f"{name:24s} FAIL: {type(exc).__name__}: {exc}")
+        if not isinstance(exc, AssertionError):
+            traceback.print_exc()
+        return None
+
+
 def run_benches(
     cycles: int,
     samples: int,
@@ -998,31 +1018,42 @@ def run_benches(
     batched_samples: int,
     ladder_segments: int,
     mesh_nx: int,
-) -> dict:
-    benches = {
-        "fig16_startup": bench_fig16_startup(cycles),
-        "fig16_startup_adaptive": bench_fig16_adaptive(cycles),
-        "supply_loss_adaptive": bench_supply_loss_adaptive(supply_cycles),
-        "supply_loss_gear": bench_supply_loss_gear(supply_cycles),
-        "fig16_startup_envelope": bench_fig16_startup_envelope(supply_cycles),
-        "supply_loss_envelope": bench_supply_loss_envelope(supply_cycles),
-        "mc_startup": bench_mc_startup(samples),
-        "mc_startup_batched": bench_mc_startup_batched(batched_samples),
-        "mc_startup_sharded": bench_mc_startup_sharded(batched_samples),
-        "fault_coverage": bench_fault_coverage(),
+) -> Tuple[dict, List[str]]:
+    """Run every workload; returns the results of those that passed
+    and the names of those that failed."""
+    table = {
+        "fig16_startup": lambda: bench_fig16_startup(cycles),
+        "fig16_startup_adaptive": lambda: bench_fig16_adaptive(cycles),
+        "supply_loss_adaptive": lambda: bench_supply_loss_adaptive(supply_cycles),
+        "supply_loss_gear": lambda: bench_supply_loss_gear(supply_cycles),
+        "fig16_startup_envelope": lambda: bench_fig16_startup_envelope(
+            supply_cycles
+        ),
+        "supply_loss_envelope": lambda: bench_supply_loss_envelope(supply_cycles),
+        "mc_startup": lambda: bench_mc_startup(samples),
+        "mc_startup_batched": lambda: bench_mc_startup_batched(batched_samples),
+        "mc_startup_sharded": lambda: bench_mc_startup_sharded(batched_samples),
+        "fault_coverage": bench_fault_coverage,
     }
     if SCIPY_VERSION is not None:
-        benches["ladder_transient_dense_vs_sparse"] = (
-            bench_ladder_dense_vs_sparse(ladder_segments)
+        table["ladder_transient_dense_vs_sparse"] = (
+            lambda: bench_ladder_dense_vs_sparse(ladder_segments)
         )
-        benches["coil_mesh_krylov"] = bench_coil_mesh_krylov(mesh_nx)
-    # Every entry carries its effective parallelism so recorded wall
-    # numbers are never read without their hardware context; only the
-    # sharded campaign uses more than one worker today.
-    for bench in benches.values():
-        bench.setdefault("effective_workers", 1)
-        bench.setdefault("effective_shards", 1)
-    return benches
+        table["coil_mesh_krylov"] = lambda: bench_coil_mesh_krylov(mesh_nx)
+    benches: dict = {}
+    failed: List[str] = []
+    for name, bench in table.items():
+        result = _attempt(name, bench)
+        if result is None:
+            failed.append(name)
+            continue
+        # Every entry carries its effective parallelism so recorded
+        # wall numbers are never read without their hardware context;
+        # only the sharded campaign uses more than one worker today.
+        result.setdefault("effective_workers", 1)
+        result.setdefault("effective_shards", 1)
+        benches[name] = result
+    return benches, failed
 
 
 #: Deterministic gate metrics: ratios where higher is better (gated
@@ -1048,9 +1079,10 @@ _WALL_SLACK_FACTOR = 2.5
 def check_against_baseline(baseline: dict, tolerance: float) -> int:
     """Rerun the baseline's workloads and flag efficiency regressions.
 
-    Returns the number of failures (0 = gate passes).  Every workload
-    gates its *deterministic* counters (Newton solves, step ratios vs
-    the golden run) at ``tolerance``; wall-clock speedups get
+    Returns the number of failures (0 = gate passes), a workload that
+    raised counting as one.  Every workload gates its *deterministic*
+    counters (Newton solves, step ratios vs the golden run) at
+    ``tolerance``; wall-clock speedups get
     ``_WALL_SLACK_FACTOR`` times the slack, enough to ride out shared
     -machine noise while still catching an order-of-magnitude loss.
     Adaptive accuracy bounds are enforced unconditionally inside the
@@ -1065,12 +1097,12 @@ def check_against_baseline(baseline: dict, tolerance: float) -> int:
         "segments", 250
     )
     mesh_nx = recorded.get("coil_mesh_krylov", {}).get("nx", 50)
-    fresh = run_benches(
+    fresh, failed = run_benches(
         cycles, samples, supply_cycles, batched_samples, ladder_segments,
         mesh_nx,
     )
 
-    failures = 0
+    failures = len(failed)
     for name, old in recorded.items():
         new = fresh.get(name)
         if new is None or "speedup" not in old:
@@ -1361,23 +1393,40 @@ def main(argv=None) -> int:
             print(f"no baseline at {args.baseline}; run without --check first")
             return 2
         baseline = json.loads(args.baseline.read_text())
-        failures = check_against_baseline(baseline, args.tolerance)
-        overhead_failures = check_rescue_overhead()
-        health_failures = check_health_overhead()
-        envelope_failures = check_envelope_identity()
-        if failures or overhead_failures or health_failures or envelope_failures:
+        gates = (
+            (
+                "baseline",
+                lambda: check_against_baseline(baseline, args.tolerance),
+                f"workload(s) failed or regressed > {args.tolerance:.0%} "
+                f"vs {args.baseline}",
+            ),
+            (
+                "rescue_overhead",
+                check_rescue_overhead,
+                "healthy workload(s) changed with the rescue ladder armed",
+            ),
+            (
+                "health_overhead",
+                check_health_overhead,
+                "healthy workload(s) changed or overran with the health "
+                "layer armed",
+            ),
+            (
+                "envelope_identity",
+                check_envelope_identity,
+                "envelope skip=off run(s) not bit-identical to the plain "
+                "engine",
+            ),
+        )
+        verdicts = []
+        for name, gate, what in gates:
+            failures = _attempt(name, gate)
+            if failures is None:
+                failures = 1  # the gate itself raised
             if failures:
-                print(f"FAIL: {failures} workload(s) regressed > "
-                      f"{args.tolerance:.0%} vs {args.baseline}")
-            if overhead_failures:
-                print(f"FAIL: {overhead_failures} healthy workload(s) "
-                      "changed with the rescue ladder armed")
-            if health_failures:
-                print(f"FAIL: {health_failures} healthy workload(s) "
-                      "changed or overran with the health layer armed")
-            if envelope_failures:
-                print("FAIL: envelope skip=off run is not bit-identical "
-                      "to the plain engine")
+                verdicts.append(f"FAIL: {failures} {what}")
+        if verdicts:
+            print("\n".join(verdicts))
             return 1
         print(f"bench gate ok (within {args.tolerance:.0%} of {args.baseline})")
         return 0
@@ -1388,10 +1437,14 @@ def main(argv=None) -> int:
     batched_samples = 8 if args.quick else 64
     ladder_segments = 80 if args.quick else 250
     mesh_nx = 24 if args.quick else 50
-    benches = run_benches(
+    benches, failed = run_benches(
         cycles, samples, supply_cycles, batched_samples, ladder_segments,
         mesh_nx,
     )
+    if failed:
+        print(f"FAIL: {len(failed)} bench(es) failed ({', '.join(failed)}); "
+              f"{args.out} not written")
+        return 1
     payload = {
         "generated_by": "benchmarks/run_perf.py",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

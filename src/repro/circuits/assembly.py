@@ -66,7 +66,7 @@ from .component import (
 from .controlled import NonlinearVCCS
 from .elements import Capacitor, Inductor
 from .integration import IntegrationMethod, resolve_method
-from .linsolve import ReusableLU, solve_dense
+from .linsolve import solve_dense
 from .netlist import Circuit
 
 __all__ = ["DtCache", "TransientAssembly"]
@@ -720,7 +720,7 @@ class _DtEntry:
     """
 
     __slots__ = (
-        "dt", "G_base", "coeffs", "lu", "rank1", "woodbury", "chord", "delta"
+        "dt", "G_base", "coeffs", "lu", "rank1", "woodbury", "delta"
     )
 
     def __init__(self, dt: float, G_base, coeffs: _ReactiveCoeffs):
@@ -730,15 +730,10 @@ class _DtEntry:
         self.lu = None  # lazy backend factorization
         self.rank1: Optional[tuple] = None  # lazy (w, vw, w_vmax)
         self.woodbury: Optional[tuple] = None  # lazy (WU, VWU)
-        #: Sparse general-Newton data: (pattern_version, W = G_base^-1 U)
-        #: for the nonlinear components' touched-row selector U (lazy).
+        #: Sparse/Krylov general-Newton data: (pattern_version,
+        #: W = G_base^-1 U) for the nonlinear components' touched-row
+        #: selector U (lazy).
         self.delta: Optional[tuple] = None
-        #: Frozen chord-Newton Jacobian for this step size (lazy).  A
-        #: per-entry slot keeps the chord strategy's whole point —
-        #: reusing one factorization across iterations *and* steps —
-        #: intact when the adaptive controller alternates between a
-        #: step size and its half.
-        self.chord: Optional[ReusableLU] = None
 
 
 class TransientAssembly:
@@ -1017,7 +1012,7 @@ class TransientAssembly:
         self.reactive.reset_history()
 
     def _retire(self, entry: Optional[_DtEntry]) -> None:
-        """Count, then release, an evicted entry's factorizations.
+        """Count, then release, an evicted entry's factorization.
 
         Dropping the references (rather than letting the evicted entry
         keep them alive through stray aliases) is what bounds the
@@ -1026,11 +1021,9 @@ class TransientAssembly:
         """
         if entry is None:
             return
-        for attr in ("lu", "chord"):
-            lu = getattr(entry, attr)
-            if lu is not None:
-                self.retired_factorizations += lu.n_factorizations
-                setattr(entry, attr, None)
+        if entry.lu is not None:
+            self.retired_factorizations += entry.lu.n_factorizations
+            entry.lu = None
         entry.rank1 = None
         entry.woodbury = None
         entry.delta = None
@@ -1059,22 +1052,13 @@ class TransientAssembly:
             entry.lu = self.backend.factor(entry.G_base)
         return entry.lu
 
-    def chord_lu(self) -> ReusableLU:
-        """The active step size's frozen chord Jacobian slot (lazy,
-        unfactored until the solver captures a Jacobian in it)."""
-        entry = self._active
-        if entry.chord is None:
-            entry.chord = ReusableLU()
-        return entry.chord
-
     @property
     def lu_factorizations(self) -> int:
         """Total factorizations across all (live + evicted) entries."""
         live = sum(
-            lu.n_factorizations
+            e.lu.n_factorizations
             for e in self._cache.live_entries()
-            for lu in (e.lu, e.chord)
-            if lu is not None
+            if e.lu is not None
         )
         return live + self.retired_factorizations
 
@@ -1328,10 +1312,11 @@ class TransientAssembly:
         time: float,
         states: Dict[str, object],
     ) -> np.ndarray:
-        """Solve the fully-stamped system against the sparse base LU.
+        """Solve the fully-stamped system against the cached base
+        factorization.
 
-        The sparse backend's replacement for ``assemble`` + dense
-        solve: the nonlinear (or split-incapable) components' stamps
+        The sparse and Krylov backends' replacement for ``assemble`` +
+        dense solve: the nonlinear (or split-incapable) components' stamps
         are recorded as a tiny triplet stream, viewed as the low-rank
         update ``G = G_base + U M V^T`` — ``U``/``V`` select the
         touched rows/columns (a fixed, small set per netlist), ``M``
@@ -1340,6 +1325,8 @@ class TransientAssembly:
         around the cached per-``dt`` factorization.  No sparse
         refactorization, no dense assembly, exact to rounding: the
         Newton iterates match the dense path at solver tolerance.
+        ``W = G_base^-1 U`` is solved once per dt entry, so a Krylov
+        run pays its iterative solves there and not per iteration.
         """
         tri = self._delta_scratch
         tri.clear()
@@ -1352,17 +1339,7 @@ class TransientAssembly:
             component.stamp(ctx)
         ctx.system = self._scratch
         b = rhs_lin + tri.rhs
-        lu = self.lu()
-        if tri.rows:
-            solve_updated = getattr(lu, "solve_updated", None)
-            if solve_updated is not None:
-                # Matrix-free path (Krylov backend): the Jacobian-vector
-                # product is applied as base-CSR times vector plus a
-                # triplet scatter — no Woodbury bookkeeping, and no
-                # multi-column ``W = G_base^-1 U`` whose per-column
-                # iterative solves would dwarf the step itself.
-                return solve_updated(b, tri.rows, tri.cols, tri.vals)
-        z = lu.solve(b)
+        z = self.lu().solve(b)
         if not tri.rows:
             return z
         r_loc = self._delta_map(tri.rows, self._delta_row_pos, self._delta_rows)

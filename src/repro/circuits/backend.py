@@ -32,9 +32,10 @@ the paper's hand-built netlists:
   the sparse backend dominate an adaptive transient's wall clock
   (breakpoint-truncated one-shot step sizes, LRU evictions, DC Newton
   re-factorization); the Krylov backend pays one factorization and
-  amortizes every other matrix in the run against it.  The 2-D
-  ``coil_mesh`` / multi-coil-array workloads (10k–100k unknowns) are
-  its territory.
+  amortizes every other matrix in the run against it.  Nonlinear
+  Newton steps use the same low-rank update around the cached base
+  solver as the sparse backend.  The 2-D ``coil_mesh`` /
+  multi-coil-array workloads (10k–100k unknowns) are its territory.
 
 Selection
 ---------
@@ -172,8 +173,8 @@ class MatrixBackend:
 
     name: str = "abstract"
     #: Whether matrices produced by this backend are dense ndarrays
-    #: (the engines use this to gate dense-only strategies like the
-    #: chord Jacobian and per-iteration full restamping).
+    #: (the engines use this to pick per-iteration full restamping
+    #: over the low-rank update around the cached factorization).
     is_dense: bool = False
     #: Whether the backend solves to a tolerance rather than by direct
     #: factorization.  Iterative backends tolerate matrix values that
@@ -502,9 +503,15 @@ class KrylovSolver:
     owning backend's *stale* LU — one factorization shared by every
     solver the backend has handed out, across dt-cache entries and
     Newton iterations.  ``n_factorizations`` counts the preconditioner
-    refreshes (and direct-fallback factorizations) this solver
-    triggered, so the engines' factorization diagnostics stay honest
-    when summed across solvers.
+    refreshes this solver triggered, so the engines' factorization
+    diagnostics stay honest when summed across solvers.
+
+    The solver only ever solves against its own base matrix.  Newton
+    iterations of nonlinear netlists reach it through the assembly's
+    low-rank update (:meth:`~repro.circuits.assembly.
+    TransientAssembly.delta_solve`), whose ``G_base^-1 U`` columns are
+    solved once per dt entry — there is no matrix-free solve of the
+    updated Jacobian.
 
     Deliberately exposes no ``condest``: there is no factorization of
     *this* matrix to estimate against, and the health guards skip
@@ -603,59 +610,6 @@ class KrylovSolver:
         backend._refresh(self)
         self._last_applies = 0
         return backend._apply_precond(b)
-
-    def solve_updated(
-        self,
-        rhs: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-    ) -> np.ndarray:
-        """Solve ``(A + delta) x = rhs`` matrix-free.
-
-        ``delta`` is the COO triplet stream of a Newton iteration's
-        nonlinear stamps.  The product ``(A + delta) v`` is applied as
-        ``A v`` plus a scatter-accumulate of the triplets — the
-        stacked CSR is never re-assembled per iteration — and the
-        stale LU of the *base* matrix preconditions the iteration
-        (Newton deltas are local, so it stays an excellent
-        preconditioner).  Non-convergence falls back to one direct
-        one-shot factorization of the updated matrix without stealing
-        the shared preconditioner (the delta changes next iteration).
-        """
-        backend = self._backend
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=float)
-        b = np.asarray(rhs)
-        A = self._matrix
-
-        def matvec(v):
-            out = A.dot(v)
-            np.add.at(out, rows, vals * v[cols])
-            return out
-
-        if not backend._anchors:
-            backend._refresh(self)
-        # Newton deltas are local: the base matrix's nearest anchor
-        # preconditions the updated system just as well.
-        anchor = backend._anchor_for(A, self._scale_proxy())
-        dtype = np.result_type(A.dtype, b.dtype, np.float64)
-        x, applies, converged = backend._iterate(
-            matvec,
-            b,
-            dtype,
-            precond=lambda rhs: backend._apply_precond(rhs, anchor),
-        )
-        backend.n_solves += 1
-        backend.n_iterations += applies
-        backend._last_solve_applies = applies
-        if converged:
-            return x
-        updated = A + _sparse.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
-        backend.n_fallback_solves += 1
-        self.n_factorizations += 1
-        return SparseLU(updated).solve(b)
 
 
 class _BlockAnchor:
@@ -890,6 +844,10 @@ class _Anchor:
 
 class KrylovBackend(MatrixBackend):
     """Iterative solves preconditioned by a shared stale LU.
+
+    Every solve is against a finalized base matrix; nonlinear Newton
+    steps fold their device stamps in through the assembly's cached
+    low-rank update, exactly as on the sparse backend.
 
     Stateful: the instance owns a pool of stale LUs (plus, for the
     batched engine, one per sample) that every solver it hands out

@@ -45,8 +45,8 @@ stays the reference: :func:`run_transient_batched` mirrors its solve
 formulas elementwise, and the equivalence tests pin the two paths to
 each other at rtol 1e-9.  Netlists the lockstep engine cannot stack —
 differing topologies, nonlinear devices other than
-:class:`~repro.circuits.controlled.NonlinearVCCS`, chord/full Jacobian
-modes — raise :class:`BatchIncompatible`, which the campaign layer
+:class:`~repro.circuits.controlled.NonlinearVCCS`, the ``"full"``
+Jacobian mode — raise :class:`BatchIncompatible`, which the campaign layer
 (:mod:`repro.campaigns.vectorized`) catches to fall back to the
 per-sample path.
 """

@@ -54,7 +54,9 @@ from ..envelope.dynamics import EnvelopeModel
 from ..errors import SimulationError
 from .backend import resolve_backend
 from .dcop import solve_dc
+from .health import HealthReport
 from .netlist import Circuit
+from .preflight import apply_preflight
 from .transient import (
     TransientOptions,
     TransientResult,
@@ -219,6 +221,12 @@ def run_transient_envelope(
     per-record ``provenance`` list, resolved/skipped cycle counters,
     the skip-length adaptation history, and the ``final`` state for
     warm-starting a neighbouring run).
+
+    With ``skip="on"``, ``preflight`` and ``guards`` act as in
+    :func:`~.transient.run_transient` (findings in
+    ``stats["preflight"]`` and ``stats["health"]``); ``rescue``,
+    ``certify``, ``max_steps``, ``max_wall_time`` and
+    ``on_abort="partial"`` raise :class:`~repro.errors.SimulationError`.
     """
     if envelope.skip == "off":
         result = run_transient(circuit, options)
@@ -245,6 +253,26 @@ def run_transient_envelope(
         )
     if options.phases is not None:
         raise SimulationError("phases and cycle skipping are exclusive")
+    unsupported = [
+        name
+        for name, armed in (
+            ("rescue", options.rescue),
+            ("certify", options.certify),
+            ("max_steps", options.max_steps is not None),
+            ("max_wall_time", options.max_wall_time is not None),
+            ("on_abort='partial'", options.on_abort == "partial"),
+        )
+        if armed
+    ]
+    if unsupported:
+        # A skip jump rewrites the committed state, so step rescue,
+        # step certification and partial results have no meaning
+        # across it; refuse them instead of silently running without.
+        raise SimulationError(
+            "cycle skipping does not support "
+            + ", ".join(unsupported)
+            + "; use skip='off' for the plain engine"
+        )
     spc = _steps_per_cycle(options, envelope)
     total_steps = int(round(options.t_stop / options.dt))
     dt = options.dt
@@ -252,6 +280,9 @@ def run_transient_envelope(
 
     # -- engine setup (the plain fixed-grid engine, inlined) ---------------
     size = circuit.prepare()
+    preflight_diags = apply_preflight(
+        circuit, options.preflight, options, analysis="tran"
+    )
     backend = resolve_backend(options.backend, size)
     if options.use_dc_operating_point:
         op = solve_dc(circuit, options=options.newton, backend=backend)
@@ -282,13 +313,14 @@ def run_transient_envelope(
             f"components {sorted(states)} carry generic integrator state "
             "the amplitude jump cannot rescale"
         )
+    health: List[HealthReport] = []
     solver = _StepSolver(
         assembly,
         options.newton,
         options.jacobian,
-        options.chord_refactor_ratio,
         guards=options.guards,
         condition_limit=options.condition_limit,
+        health=health,
     )
     record_indices, recorded_nodes, n_columns = _resolve_recording(
         circuit, options
@@ -497,6 +529,10 @@ def run_transient_envelope(
             "final": {"skip": skip_n, "amplitude": amplitude},
         },
     }
+    if options.guards:
+        stats["health"] = health
+    if options.preflight != "off":
+        stats["preflight"] = preflight_diags
     return TransientResult(
         circuit=circuit,
         t=times,

@@ -18,9 +18,9 @@ Three layers:
 * :class:`ReusableLU` — a factorization cached across many solves
   with the same matrix: LU (``scipy.linalg.lu_factor``/``lu_solve``)
   for large systems, an explicit inverse for small ones where the
-  LAPACK call overhead dominates the arithmetic.  Used by the
-  transient engine for fully linear circuits (one factorization for
-  the whole run) and as the frozen Jacobian of the chord-Newton mode.
+  LAPACK call overhead dominates the arithmetic.  It is the dense
+  backend's cached per-step-size base factorization: the transient
+  engine's linear, rank-1 and Woodbury steps all solve through it.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class ReusableLU:
                 self._lu = _lu_factor(self._g, check_finite=False)
         except (np.linalg.LinAlgError, ValueError):
             self._singular = True
-
-    @property
-    def is_factored(self) -> bool:
-        return self._g is not None
 
     @property
     def is_singular(self) -> bool:

@@ -57,13 +57,12 @@ the engine picks a solve strategy per run:
 * ``woodbury`` — 2–4 NonlinearVCCS devices (mirror cascades): the
   rank-k generalization; each Newton iterate solves a k×k system via
   the Woodbury identity around the same cached factorization.
-* ``general`` — full Newton; each iteration copies the cached parts
-  and restamps only the nonlinear devices.
-* ``chord`` (opt-in via ``TransientOptions(jacobian="chord")``) —
-  quasi-Newton with a frozen, factored Jacobian reused across
-  iterations *and* steps; it refactors only when convergence slows
-  below ``chord_refactor_ratio`` per iteration or the step size
-  changes.
+* ``general`` — full Newton; each iteration restamps only the
+  nonlinear devices on top of the cached parts.  The dense backend
+  assembles and runs one dense solve; the sparse and Krylov backends
+  fold the stamps in as a low-rank update around the cached base
+  factorization (:meth:`~repro.circuits.assembly.TransientAssembly.
+  delta_solve`), so no iteration refactors.
 
 Results are recorded into a growable buffer that finalizes into a
 :class:`TransientResult` with a (possibly non-uniform) ``t``; pass
@@ -131,17 +130,13 @@ class TransientOptions:
     #: the full state vector.
     record_nodes: Optional[Sequence[str]] = None
     #: Jacobian strategy: "auto" picks the fastest exact-Newton path,
-    #: "full" forces per-iteration assembly + solve, "chord" reuses a
-    #: frozen LU factorization and refactors only when Newton slows.
+    #: "full" forces the general per-iteration restamp + solve.
     jacobian: str = "auto"
     #: Linear-algebra backend: "auto" picks dense below the unknown-
     #: count threshold of :mod:`~repro.circuits.backend` and sparse
     #: (CSR + splu) at or above it; "dense"/"sparse" (or a
     #: MatrixBackend instance) force the choice.
     backend: object = "auto"
-    #: Chord mode: refactor when an iteration shrinks the update by
-    #: less than this factor (1.0 would demand monotone convergence).
-    chord_refactor_ratio: float = 0.5
 
     # -- integration-method knobs -------------------------------------------
     #: Variable-order methods only (``method="gear"``): whether the
@@ -282,8 +277,11 @@ class TransientOptions:
                 raise SimulationError("max_order must be 1..3")
         if self.record_stride < 1:
             raise SimulationError("record_stride must be >= 1")
-        if self.jacobian not in ("auto", "full", "chord"):
-            raise SimulationError(f"unknown jacobian mode {self.jacobian!r}")
+        if self.jacobian not in ("auto", "full"):
+            raise SimulationError(
+                f"unknown jacobian mode {self.jacobian!r}; expected "
+                "'auto' or 'full'"
+            )
         if not isinstance(self.backend, MatrixBackend) and self.backend not in (
             "auto",
             "dense",
@@ -291,8 +289,6 @@ class TransientOptions:
             "krylov",
         ):
             raise SimulationError(f"unknown backend {self.backend!r}")
-        if not 0.0 < self.chord_refactor_ratio <= 1.0:
-            raise SimulationError("chord_refactor_ratio must be in (0, 1]")
         if self.step_control not in ("fixed", "adaptive"):
             raise SimulationError(
                 f"unknown step_control mode {self.step_control!r}"
@@ -801,7 +797,6 @@ class _StepSolver:
         assembly: TransientAssembly,
         options: NewtonOptions,
         jacobian: str,
-        chord_refactor_ratio: float,
         guards: bool = False,
         condition_limit: float = CONDITION_LIMIT,
         health: Optional[list] = None,
@@ -810,7 +805,6 @@ class _StepSolver:
         self.options = options
         self.n_nodes = assembly.n_nodes
         self.newton_iterations = 0
-        self.chord_refactor_ratio = chord_refactor_ratio
         self.guards = guards
         self.condition_limit = condition_limit
         self.health = health if health is not None else []
@@ -826,8 +820,6 @@ class _StepSolver:
             # one fresh assembly and one undamped solve per step, the
             # seed engine's exact linear behaviour.
             self.strategy = "linear-restamp"
-        elif jacobian == "chord":
-            self.strategy = "chord"
         elif devices is not None and jacobian == "auto":
             if len(devices) == 1:
                 self.strategy = "rank1"
@@ -859,8 +851,9 @@ class _StepSolver:
 
         Dense backend: copy the cached parts, restamp the full-stamp
         components, one dense solve (the historical path, bit-pinned).
-        Sparse backend: the same equations via the assembly's low-rank
-        delta update around the cached sparse LU — no refactorization.
+        Sparse and Krylov backends: the same equations via the
+        assembly's low-rank delta update around the cached base
+        factorization — no refactorization.
         """
         assembly = self.assembly
         if assembly.backend.is_dense:
@@ -895,8 +888,6 @@ class _StepSolver:
             x_new = self._step_rank1(x, rhs_lin, time, states)
         elif self.strategy == "woodbury":
             x_new = self._step_woodbury(x, rhs_lin, time, states)
-        elif self.strategy == "chord":
-            x_new = self._step_chord(x, rhs_lin, time, states)
         else:
             x_new = self._step_general(x, rhs_lin, time, states)
         if self.guards and not np.isfinite(x_new).all():
@@ -1118,46 +1109,6 @@ class _StepSolver:
             v_ctrl = assembly.ctrl_project(x)
             if last_delta < _voltage_tol(x, n, options):
                 return x
-        raise self._fail(time, last_delta)
-
-    def _step_chord(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
-        """Frozen-Jacobian Newton with refactor-on-slow-convergence.
-
-        The frozen LU lives in the active per-``dt`` cache entry, so
-        an adaptive run alternating between a step size and its half
-        keeps one consistent Jacobian per size instead of thrashing a
-        single slot.
-        """
-        options = self.options
-        lu = self.assembly.chord_lu()
-        last_delta = np.inf
-        previous_delta = np.inf
-        for _iteration in range(options.max_iterations):
-            G, rhs = self.assembly.assemble(x, rhs_lin, time, states)
-            if not lu.is_factored:
-                lu.factor(G)
-            residual = G.dot(x) - rhs
-            dx = -lu.solve(residual)
-            self.newton_iterations += 1
-            delta, last_delta = damp_voltage_delta(
-                dx, self.n_nodes, options.max_step
-            )
-            x = x + delta
-            if last_delta < _voltage_tol(x, self.n_nodes, options):
-                return x
-            if last_delta > self.chord_refactor_ratio * previous_delta:
-                # Convergence stalled: the frozen Jacobian has drifted
-                # too far from the current linearization — refresh it.
-                lu.factor(G)
-                previous_delta = np.inf
-            else:
-                previous_delta = last_delta
         raise self._fail(time, last_delta)
 
 
@@ -1553,21 +1504,6 @@ def run_transient(circuit: Circuit, options: Optional[TransientOptions] = None) 
     )
 
     backend = resolve_backend(options.backend, size)
-    if options.jacobian == "chord" and not backend.is_dense:
-        # The chord strategy freezes a fully-stamped dense Jacobian;
-        # honour an explicit non-dense request — the "sparse" string
-        # or a caller-constructed MatrixBackend instance — with a
-        # clear error, and quietly keep "auto" on the always-correct
-        # dense path.
-        if options.backend in ("sparse", "krylov") or isinstance(
-            options.backend, MatrixBackend
-        ):
-            raise SimulationError(
-                "jacobian='chord' requires the dense backend; use "
-                "backend='dense' (or 'auto') with chord mode"
-            )
-        backend = resolve_backend("dense", size)
-
     # Krylov iteration diagnostics cover this run only, even when the
     # caller shares one stateful backend instance across runs.
     krylov_base = (
@@ -1618,7 +1554,6 @@ def run_transient(circuit: Circuit, options: Optional[TransientOptions] = None) 
         assembly,
         options.newton,
         options.jacobian,
-        options.chord_refactor_ratio,
         guards=options.guards,
         condition_limit=options.condition_limit,
         health=health,

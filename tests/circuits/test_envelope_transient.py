@@ -13,6 +13,7 @@ import pytest
 
 from repro.circuits import (
     EnvelopeOptions,
+    PreflightWarning,
     TransientOptions,
     run_transient,
     run_transient_envelope,
@@ -222,4 +223,47 @@ class TestValidation:
         options = _options(60)
         options.dt = T / 39.5
         with pytest.raises(SimulationError):
+            run_transient_envelope(_circuit(), options, _envelope())
+
+
+class TestRunOptions:
+    """``skip="on"`` honours or refuses every run option; none is
+    silently dropped."""
+
+    def test_preflight_findings_reported(self):
+        circuit = _circuit()
+        circuit.resistor("rstub", "lc1", "stub", 1e3)
+        options = _options(60)
+        options.preflight = "warn"
+        with pytest.warns(PreflightWarning):
+            result = run_transient_envelope(circuit, options, _envelope())
+        assert any(
+            d.code == "dangling_node" for d in result.stats["preflight"]
+        )
+
+    def test_guards_report_health(self):
+        options = _options(60)
+        plain = run_transient_envelope(_circuit(), options, _envelope())
+        options.guards = True
+        options.condition_limit = 1.0  # every factorization violates it
+        guarded = run_transient_envelope(_circuit(), options, _envelope())
+        kinds = {report.kind for report in guarded.stats["health"]}
+        assert kinds == {"ill_conditioned"}
+        assert "health" not in plain.stats
+        np.testing.assert_array_equal(guarded.x, plain.x)
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("rescue", True, "rescue"),
+            ("certify", True, "certify"),
+            ("max_steps", 10, "max_steps"),
+            ("max_wall_time", 60.0, "max_wall_time"),
+            ("on_abort", "partial", "on_abort='partial'"),
+        ],
+    )
+    def test_unsupported_option_raises(self, field, value, name):
+        options = _options(60)
+        setattr(options, field, value)
+        with pytest.raises(SimulationError, match=name):
             run_transient_envelope(_circuit(), options, _envelope())

@@ -129,15 +129,6 @@ def _divider():
     return c
 
 
-def _rectifier():
-    c = Circuit()
-    c.voltage_source("V1", "in", "0", sine(2.0, 1e5))
-    c.diode("D1", "in", "out")
-    c.resistor("RL", "out", "0", 10e3)
-    c.capacitor("CL", "out", "0", 1e-6, ic=0.0)
-    return c
-
-
 class TestWaveformAccess:
     def test_unknown_node_raises_simulation_error(self):
         res = run_transient(
@@ -379,44 +370,6 @@ class TestJacobianModes:
         with pytest.raises(SimulationError):
             TransientOptions(t_stop=1e-3, dt=1e-6, jacobian="newton-krylov")
 
-    def test_chord_matches_full_newton(self):
-        options = TransientOptions(
-            t_stop=60e-6, dt=0.1e-6, use_dc_operating_point=False
-        )
-        baseline = run_transient(_rectifier(), options)
-        chord_options = TransientOptions(
-            t_stop=60e-6,
-            dt=0.1e-6,
-            use_dc_operating_point=False,
-            jacobian="chord",
-        )
-        chord = run_transient(_rectifier(), chord_options)
-        assert chord.stats["strategy"] == "chord"
-        # Chord Newton converges linearly, so each step lands within
-        # the Newton tolerance rather than quadratically inside it;
-        # sub-mV agreement on a ~2 V waveform is the expected bound.
-        np.testing.assert_allclose(
-            chord.waveform("out").y,
-            baseline.waveform("out").y,
-            rtol=1e-4,
-            atol=1e-4,
-        )
-
-    def test_chord_refactors_on_slow_convergence(self):
-        """The diode turning on invalidates the frozen Jacobian; the
-        engine must notice the stalled convergence and refactorize."""
-        chord = run_transient(
-            _rectifier(),
-            TransientOptions(
-                t_stop=60e-6,
-                dt=0.1e-6,
-                use_dc_operating_point=False,
-                jacobian="chord",
-            ),
-        )
-        assert chord.stats["lu_refactorizations"] > 1
-        # ... but far less often than full Newton assembles Jacobians.
-        assert (
-            chord.stats["lu_refactorizations"]
-            < chord.stats["newton_iterations"] / 2
-        )
+    def test_retired_chord_mode_rejected(self):
+        with pytest.raises(SimulationError, match="'auto' or 'full'"):
+            TransientOptions(t_stop=1e-3, dt=1e-6, jacobian="chord")
